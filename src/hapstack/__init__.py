@@ -27,7 +27,7 @@ from .encoder import (
     init_random,
     piccolo_config,
 )
-from .heatmap import AttentionHeatmap, compute_heatmap, compute_heatmaps_batch, render_heatmap
+from .heatmap import AttentionHeatmap, compute_heatmap, render_heatmap
 from .model_io import LoadedModel, load_bundle, save_bundle
 from .pipeline import (
     BenchReport,
@@ -41,7 +41,7 @@ from .pipeline import (
     score_sentences,
     split_sentences,
 )
-from .rescore import Hypothesis, combine_scores, rescore_beam, select_best
+from .rescore import Hypothesis, combine_scores, rescore_beam
 from .wordpiece import (
     TokenizedSequence,
     Vocabulary,

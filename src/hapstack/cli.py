@@ -92,7 +92,6 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_filter(args: argparse.Namespace) -> int:
     model = _load_model(args)
     run_config = RunConfig(
-        model_path=args.model,
         batch_size=args.batch_size,
         max_length=args.max_length,
         hap_threshold=args.threshold,

@@ -10,15 +10,11 @@ DEFAULT_HAP_THRESHOLD = 0.5
 
 @dataclass
 class RunConfig:
-    model_path: str | None = None
     batch_size: int = 32
     max_length: int = DEFAULT_MAX_LENGTH
     hap_threshold: float = DEFAULT_HAP_THRESHOLD
     max_flagged_fraction: float = 0.5
     workers: int = 1
-    rescore_lambda: float = 1.0
-    seed: int = 0
-    match_mode: str = "word-boundary"
     dynamic_batching: bool = False
     token_budget: int = 8192
 
@@ -33,9 +29,5 @@ class RunConfig:
             raise ValueError("max_flagged_fraction must lie in [0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.rescore_lambda < 0.0:
-            raise ValueError("rescore_lambda must be >= 0")
-        if self.match_mode not in ("word-boundary", "exact-substring"):
-            raise ValueError(f"unknown match_mode {self.match_mode!r}")
         if self.token_budget < 1:
             raise ValueError("token_budget must be >= 1")

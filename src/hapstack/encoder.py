@@ -40,17 +40,23 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         for name in ("num_layers", "num_heads", "hidden_size", "intermediate_size",
-                     "vocab_size", "num_labels"):
-            if getattr(self, name) <= 0:
+                     "vocab_size", "max_positions", "num_labels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_positions < 2:
             raise ValueError("max_positions must be >= 2")
+        if self.num_labels != 2:
+            raise ValueError(f"num_labels must be 2 (HAP scores are a two-way softmax), "
+                             f"got {self.num_labels}")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(f"hidden_size {self.hidden_size} not divisible by "
                              f"num_heads {self.num_heads}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
-        if self.layernorm_epsilon <= 0:
+        if not self.layernorm_epsilon > 0:  # also rejects NaN
             raise ValueError("layernorm_epsilon must be positive")
 
     @property
@@ -123,44 +129,76 @@ class ForwardOutput:
     final_hidden: np.ndarray
 
 
+def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every bundle tensor name and its shape, in ``init_random`` draw
+    order: each layer's block, then the embeddings, pooler and classifier.
+    Layer tensors are named ``layer.{index}.{LayerWeights field}``."""
+    h, i, labels = config.hidden_size, config.intermediate_size, config.num_labels
+    layer = {
+        "q_weight": (h, h), "q_bias": (h,),
+        "k_weight": (h, h), "k_bias": (h,),
+        "v_weight": (h, h), "v_bias": (h,),
+        "out_weight": (h, h), "out_bias": (h,),
+        "attn_ln_gamma": (h,), "attn_ln_beta": (h,),
+        "ffn_up_weight": (h, i), "ffn_up_bias": (i,),
+        "ffn_down_weight": (i, h), "ffn_down_bias": (h,),
+        "ffn_ln_gamma": (h,), "ffn_ln_beta": (h,),
+    }
+    shapes = {f"layer.{index}.{field}": shape
+              for index in range(config.num_layers) for field, shape in layer.items()}
+    shapes.update({
+        "token_embedding": (config.vocab_size, h),
+        "position_embedding": (config.max_positions, h),
+        "embedding_ln_gamma": (h,),
+        "embedding_ln_beta": (h,),
+        "pooler_weight": (h, h),
+        "pooler_bias": (h,),
+        "classifier_weight": (h, labels),
+        "classifier_bias": (labels,),
+    })
+    return shapes
+
+
+def _locate(name: str) -> tuple[int | None, str]:
+    """(layer index, or None outside the layers; attribute) of tensor ``name``."""
+    if name.startswith("layer."):
+        _, index, field = name.split(".")
+        return int(index), field
+    return None, name
+
+
+def named_tensors(weights: ModelWeights, config: EncoderConfig) -> dict[str, np.ndarray]:
+    """``tensor_shapes`` names mapped to the tensors of ``weights``."""
+    tensors = {}
+    for name in tensor_shapes(config):
+        index, field = _locate(name)
+        tensors[name] = getattr(weights if index is None else weights.layers[index], field)
+    return tensors
+
+
+def weights_from_tensors(tensors: dict[str, np.ndarray], config: EncoderConfig) -> ModelWeights:
+    """Inverse of ``named_tensors``; ``tensors`` must hold every name."""
+    top: dict[str, np.ndarray] = {}
+    layers: list[dict[str, np.ndarray]] = [{} for _ in range(config.num_layers)]
+    for name in tensor_shapes(config):
+        index, field = _locate(name)
+        (top if index is None else layers[index])[field] = tensors[name]
+    return ModelWeights(layers=[LayerWeights(**layer) for layer in layers], **top)
+
+
 def init_random(config: EncoderConfig, seed: int) -> ModelWeights:
     """Deterministic random weights: N(0, 0.02) everywhere, layernorm
     gamma=1 / beta=0. Same (config, seed) always yields identical tensors."""
     rng = np.random.default_rng(seed)
-
-    def normal(*shape: int) -> np.ndarray:
-        return rng.normal(0.0, INIT_SCALE, size=shape).astype(np.float32)
-
-    def ones(n: int) -> np.ndarray:
-        return np.ones(n, dtype=np.float32)
-
-    def zeros(n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.float32)
-
-    h, i = config.hidden_size, config.intermediate_size
-    layers = []
-    for _ in range(config.num_layers):
-        layers.append(LayerWeights(
-            q_weight=normal(h, h), q_bias=normal(h),
-            k_weight=normal(h, h), k_bias=normal(h),
-            v_weight=normal(h, h), v_bias=normal(h),
-            out_weight=normal(h, h), out_bias=normal(h),
-            attn_ln_gamma=ones(h), attn_ln_beta=zeros(h),
-            ffn_up_weight=normal(h, i), ffn_up_bias=normal(i),
-            ffn_down_weight=normal(i, h), ffn_down_bias=normal(h),
-            ffn_ln_gamma=ones(h), ffn_ln_beta=zeros(h),
-        ))
-    return ModelWeights(
-        token_embedding=normal(config.vocab_size, h),
-        position_embedding=normal(config.max_positions, h),
-        embedding_ln_gamma=ones(h),
-        embedding_ln_beta=zeros(h),
-        layers=layers,
-        pooler_weight=normal(h, h),
-        pooler_bias=normal(h),
-        classifier_weight=normal(h, config.num_labels),
-        classifier_bias=normal(config.num_labels),
-    )
+    tensors = {}
+    for name, shape in tensor_shapes(config).items():
+        if name.endswith("ln_gamma"):
+            tensors[name] = np.ones(shape, dtype=np.float32)
+        elif name.endswith("ln_beta"):
+            tensors[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            tensors[name] = rng.normal(0.0, INIT_SCALE, size=shape).astype(np.float32)
+    return weights_from_tensors(tensors, config)
 
 
 def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
@@ -186,6 +224,7 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
 
     Per-sequence results match single-sequence ``forward`` within float32
     matmul noise (<< 1e-5 per logit); pad columns receive zero attention.
+    Each output's arrays are views into the shared batch arrays.
     """
     if not seqs:
         return []
@@ -241,9 +280,9 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
 
     return [
         ForwardOutput(
-            logits=logits[b].copy(),
-            attentions=[layer_probs[b].copy() for layer_probs in attention_stack],
-            final_hidden=hidden_states[b].copy(),
+            logits=logits[b],
+            attentions=[layer_probs[b] for layer_probs in attention_stack],
+            final_hidden=hidden_states[b],
         )
         for b in range(batch)
     ]
@@ -256,17 +295,5 @@ def forward(seq: TokenizedSequence, weights: ModelWeights,
 
 
 def count_parameters(config: EncoderConfig) -> int:
-    """Exact learned-scalar count for the weight shapes above."""
-    h, i = config.hidden_size, config.intermediate_size
-    embeddings = config.vocab_size * h + config.max_positions * h
-    embedding_ln = 2 * h
-    per_layer = (
-        4 * (h * h + h)      # q/k/v/out projections
-        + 2 * h              # attention layernorm
-        + (h * i + i)        # ffn up
-        + (i * h + h)        # ffn down
-        + 2 * h              # ffn layernorm
-    )
-    pooler = h * h + h
-    classifier = h * config.num_labels + config.num_labels
-    return embeddings + embedding_ln + config.num_layers * per_layer + pooler + classifier
+    """Exact learned-scalar count of the ``tensor_shapes`` tensors."""
+    return sum(math.prod(shape) for shape in tensor_shapes(config).values())

@@ -59,13 +59,6 @@ def compute_heatmap(output: ForwardOutput, seq: TokenizedSequence) -> AttentionH
     )
 
 
-def compute_heatmaps_batch(outputs: list[ForwardOutput],
-                           seqs: list[TokenizedSequence]) -> list[AttentionHeatmap]:
-    if len(outputs) != len(seqs):
-        raise ValueError(f"{len(outputs)} outputs vs {len(seqs)} sequences")
-    return [compute_heatmap(output, seq) for output, seq in zip(outputs, seqs)]
-
-
 def render_heatmap(heatmap: AttentionHeatmap, format: str = "text-grid") -> str:
     """Deterministic text rendering.
 

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import EncoderConfig, LayerWeights, ModelWeights
+from .encoder import (EncoderConfig, ModelWeights, named_tensors, tensor_shapes,
+                      weights_from_tensors)
 from .wordpiece import Vocabulary
 
 MAGIC = b"HAP1"
@@ -51,57 +52,24 @@ class LoadedModel(NamedTuple):
     vocab: Vocabulary
 
 
-_LAYER_FIELDS = [f.name for f in dataclasses.fields(LayerWeights)]
-_TOP_FIELDS = ["token_embedding", "position_embedding", "embedding_ln_gamma",
-               "embedding_ln_beta", "pooler_weight", "pooler_bias",
-               "classifier_weight", "classifier_bias"]
-
-
-def _expected_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    h, i = config.hidden_size, config.intermediate_size
-    shapes: dict[str, tuple[int, ...]] = {
-        "token_embedding": (config.vocab_size, h),
-        "position_embedding": (config.max_positions, h),
-        "embedding_ln_gamma": (h,),
-        "embedding_ln_beta": (h,),
-        "pooler_weight": (h, h),
-        "pooler_bias": (h,),
-        "classifier_weight": (h, config.num_labels),
-        "classifier_bias": (config.num_labels,),
-    }
-    layer_shapes = {
-        "q_weight": (h, h), "q_bias": (h,),
-        "k_weight": (h, h), "k_bias": (h,),
-        "v_weight": (h, h), "v_bias": (h,),
-        "out_weight": (h, h), "out_bias": (h,),
-        "attn_ln_gamma": (h,), "attn_ln_beta": (h,),
-        "ffn_up_weight": (h, i), "ffn_up_bias": (i,),
-        "ffn_down_weight": (i, h), "ffn_down_bias": (h,),
-        "ffn_ln_gamma": (h,), "ffn_ln_beta": (h,),
-    }
-    for idx in range(config.num_layers):
-        for field, shape in layer_shapes.items():
-            shapes[f"layer.{idx}.{field}"] = shape
-    return shapes
-
-
-def _tensor_map(weights: ModelWeights) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {name: getattr(weights, name) for name in _TOP_FIELDS}
-    for idx, layer in enumerate(weights.layers):
-        for field in _LAYER_FIELDS:
-            tensors[f"layer.{idx}.{field}"] = getattr(layer, field)
-    return tensors
+def _check_vocab_size(vocab: Vocabulary, config: EncoderConfig) -> None:
+    if len(vocab) != config.vocab_size:
+        raise ShapeMismatchError(f"vocab holds {len(vocab)} tokens, "
+                                 f"config declares vocab_size {config.vocab_size}")
 
 
 def save_bundle(config: EncoderConfig, weights: ModelWeights, vocab: Vocabulary,
                 path: str | Path) -> None:
     """Write a HAP1 bundle; saving the same model twice is byte-identical."""
-    tensors = _tensor_map(weights)
-    expected = _expected_shapes(config)
-    if set(tensors) != set(expected):
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
-        raise ShapeMismatchError(f"tensor set mismatch: missing={missing} extra={extra}")
+    _check_vocab_size(vocab, config)
+    for token in vocab.tokens:
+        if "\n" in token:
+            raise BundleError(f"vocab token {token!r} contains LF, the vocab block separator")
+    if len(weights.layers) != config.num_layers:
+        raise ShapeMismatchError(f"weights hold {len(weights.layers)} layers, "
+                                 f"config declares {config.num_layers}")
+    expected = tensor_shapes(config)
+    tensors = named_tensors(weights, config)
     for name in sorted(tensors):
         arr = np.asarray(tensors[name])
         if tuple(arr.shape) != expected[name]:
@@ -161,6 +129,7 @@ def load_bundle(path: str | Path) -> LoadedModel:
 
     vocab_text = sections["vocab"].decode("utf-8")
     vocab = Vocabulary(tuple(vocab_text.split("\n")) if vocab_text else ())
+    _check_vocab_size(vocab, config)
 
     try:
         table = json.loads(sections["table"].decode("utf-8"))
@@ -169,7 +138,7 @@ def load_bundle(path: str | Path) -> LoadedModel:
     except (ValueError, TypeError) as exc:
         raise BundleError(f"invalid tensor table: {exc}") from exc
 
-    expected = _expected_shapes(config)
+    expected = tensor_shapes(config)
     names = [name for name, _, _, _ in entries]
     if sorted(names) != sorted(expected):
         raise ShapeMismatchError(
@@ -195,19 +164,11 @@ def load_bundle(path: str | Path) -> LoadedModel:
 
     tensors: dict[str, np.ndarray] = {}
     for name, _, dims, offset in entries:
-        nbytes = 4 * prod(dims)
         arr = np.frombuffer(payload, dtype="<f4", count=prod(dims),
                             offset=offset).reshape(dims).astype(np.float32)
         if not np.isfinite(arr).all():
             raise NonFiniteTensorError(f"tensor {name} contains non-finite values")
         tensors[name] = arr
 
-    layers = [
-        LayerWeights(**{field: tensors[f"layer.{idx}.{field}"] for field in _LAYER_FIELDS})
-        for idx in range(config.num_layers)
-    ]
-    weights = ModelWeights(
-        layers=layers,
-        **{name: tensors[name] for name in _TOP_FIELDS},
-    )
-    return LoadedModel(config=config, weights=weights, vocab=vocab)
+    return LoadedModel(config=config, weights=weights_from_tensors(tensors, config),
+                       vocab=vocab)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import statistics
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .encoder import EncoderConfig, count_parameters, forward, forward_batch, init_random
+from .encoder import (EncoderConfig, ModelWeights, count_parameters, forward, forward_batch,
+                      init_random)
 from .model_io import LoadedModel
 from .wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence
 
@@ -270,33 +272,14 @@ def _bench_label(config: EncoderConfig) -> str:
     return "x".join(str(d) for d in config.architecture)
 
 
-def _measure_latency(config: EncoderConfig, n_runs: int, n_seeds: int,
-                     seq_len: int) -> BenchReport:
-    seed_means = []
+def _latency_case(config: EncoderConfig, seed: int,
+                  seq_len: int) -> tuple[TokenizedSequence, ModelWeights]:
+    """Fresh random weights and a random unpadded sequence for one seed."""
     length = min(seq_len, config.max_positions)
-    for seed in range(n_seeds):
-        weights = init_random(config, seed)
-        rng = np.random.default_rng(seed + 1)
-        seq = TokenizedSequence(
-            ids=rng.integers(0, config.vocab_size, size=length).tolist(),
-            attention_mask=[1] * length,
-            word_spans=[], original_text="", pieces=[], words=[],
-        )
-        for _ in range(BENCH_WARMUP_RUNS):
-            forward(seq, weights, config)
-        times = []
-        for _ in range(n_runs):
-            t0 = time.perf_counter()
-            forward(seq, weights, config)
-            times.append(time.perf_counter() - t0)
-        seed_means.append(statistics.mean(times))
-    return BenchReport(
-        model_label=_bench_label(config),
-        architecture=config.architecture,
-        mean_latency_ms=statistics.mean(seed_means) * 1000.0,
-        stddev_ms=statistics.pstdev(seed_means) * 1000.0,
-        seeds=n_seeds,
-    )
+    ids = np.random.default_rng(seed + 1).integers(0, config.vocab_size, size=length)
+    seq = TokenizedSequence(ids=ids.tolist(), attention_mask=[1] * length,
+                            word_spans=[], original_text="", pieces=[], words=[])
+    return seq, init_random(config, seed)
 
 
 def _ordered_by_size(config_a: EncoderConfig, config_b: EncoderConfig,
@@ -312,16 +295,42 @@ def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
                   seq_len: int = 32) -> tuple[BenchReport, BenchReport, float]:
     """Single-sequence latency comparison on a monotonic clock.
 
-    Per seed: fresh random weights, 3 untimed warm-up runs, then ``n_runs``
-    timed forwards; means and stddevs are taken across seeds. Speedup is
-    larger-model mean over smaller-model mean.
+    Per seed: fresh random weights for both sides, 3 untimed warm-up runs
+    each, then ``n_runs`` timed forwards per side with the A/B order
+    alternating run by run, so drift on a noisy machine hits both sides
+    alike. A side's mean and stddev are taken over its per-seed median
+    times. Speedup is larger-model mean over smaller-model mean.
     """
     if n_runs < 10:
         raise ValueError("n_runs must be >= 10")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    report_a = _measure_latency(config_a, n_runs, n_seeds, seq_len)
-    report_b = _measure_latency(config_b, n_runs, n_seeds, seq_len)
+    configs = (config_a, config_b)
+    seed_medians: tuple[list[float], list[float]] = ([], [])
+    for seed in range(n_seeds):
+        cases = [_latency_case(config, seed, seq_len) for config in configs]
+        for (seq, weights), config in zip(cases, configs):
+            for _ in range(BENCH_WARMUP_RUNS):
+                forward(seq, weights, config)
+        times: tuple[list[float], list[float]] = ([], [])
+        for run in range(n_runs):
+            for side in ((0, 1) if run % 2 == 0 else (1, 0)):
+                seq, weights = cases[side]
+                t0 = time.perf_counter()
+                forward(seq, weights, configs[side])
+                times[side].append(time.perf_counter() - t0)
+        for side in (0, 1):
+            seed_medians[side].append(statistics.median(times[side]))
+    report_a, report_b = (
+        BenchReport(
+            model_label=_bench_label(config),
+            architecture=config.architecture,
+            mean_latency_ms=statistics.mean(medians) * 1000.0,
+            stddev_ms=statistics.pstdev(medians) * 1000.0,
+            seeds=n_seeds,
+        )
+        for config, medians in zip(configs, seed_medians)
+    )
     small, large = _ordered_by_size(config_a, config_b, report_a, report_b)
     speedup = large.mean_latency_ms / small.mean_latency_ms
     return report_a, report_b, speedup
@@ -343,8 +352,9 @@ def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
         )
         run_config = RunConfig(batch_size=batch_size, workers=workers,
                                dynamic_batching=dynamic_batching)
-        out_path = Path(corpus_path).with_suffix(f".decisions.{_bench_label(config)}.tsv")
-        summary = run_corpus(corpus_path, out_path, model, run_config)
+        with tempfile.TemporaryDirectory() as tmp:
+            out_path = Path(tmp) / f"decisions.{_bench_label(config)}.tsv"
+            summary = run_corpus(corpus_path, out_path, model, run_config)
         return BenchReport(
             model_label=_bench_label(config),
             architecture=config.architecture,

@@ -53,13 +53,6 @@ def rescore_beam(hypotheses: list[Hypothesis], model: LoadedModel | None = None,
     return sorted(combined, key=lambda h: -h.new_score)
 
 
-def select_best(ranked: list[Hypothesis]) -> Hypothesis:
-    """First element of a ranked beam."""
-    if not ranked:
-        raise ValueError("cannot select from an empty beam")
-    return ranked[0]
-
-
 def read_beam_file(path: str | Path) -> list[Hypothesis]:
     """Parse ``<original_score><TAB><text>[<TAB><non_hap>]`` lines."""
     hypotheses = []

@@ -1,5 +1,8 @@
 """Shared fixtures: tiny vocabularies, configs and models."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -44,3 +47,35 @@ def random_words(rng: np.random.Generator, n_words: int) -> str:
         letters = rng.integers(ord("a"), ord("z") + 1, size=length)
         words.append("".join(chr(c) for c in letters))
     return " ".join(words)
+
+
+def read_raw_bundle(path):
+    """(config dict, tokens, name -> float32 array) of a HAP1 file, parsed
+    from the format description alone, without the library's checks."""
+    data = path.read_bytes()
+    pos = 4
+    sections = []
+    for _ in range(3):
+        (length,) = struct.unpack("<I", data[pos:pos + 4])
+        sections.append(data[pos + 4:pos + 4 + length])
+        pos += 4 + length
+    config = json.loads(sections[0])
+    tokens = sections[1].decode("utf-8").split("\n")
+    tensors = {name: np.frombuffer(data, "<f4", int(np.prod(dims)), pos + offset).reshape(dims)
+               for name, _, dims, offset in json.loads(sections[2])}
+    return config, tokens, tensors
+
+
+def write_raw_bundle(path, config, tokens, tensors):
+    """Write a HAP1 file from parts, without the library's checks."""
+    table, payload, offset = [], b"", 0
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        table.append([name, arr.ndim, list(arr.shape), offset])
+        payload += arr.tobytes()
+        offset += arr.nbytes
+    sections = [json.dumps(config, sort_keys=True).encode("utf-8"),
+                "\n".join(tokens).encode("utf-8"),
+                json.dumps(table).encode("utf-8")]
+    path.write_bytes(b"HAP1" + b"".join(struct.pack("<I", len(s)) + s for s in sections)
+                     + payload)

@@ -23,7 +23,7 @@ from hapstack.encoder import (
     init_random,
     piccolo_config,
 )
-from hapstack.heatmap import compute_heatmap, compute_heatmaps_batch
+from hapstack.heatmap import compute_heatmap
 from hapstack.model_io import LoadedModel, load_bundle, save_bundle
 from hapstack.pipeline import (
     bench_latency,
@@ -221,7 +221,8 @@ def test_criterion_10_heatmap(tiny_model):
     seqs = [encode(s, vocab, 32, pad_to_max=False) for s in sentences]
     target = max(len(s.ids) for s in seqs)
     padded = [pad_sequence(s, target, vocab) for s in seqs]
-    batched = compute_heatmaps_batch(forward_batch(padded, weights, config), padded)
+    batched = [compute_heatmap(o, s)
+               for o, s in zip(forward_batch(padded, weights, config), padded)]
     for seq, hm_batched in zip(seqs, batched):
         hm_single = compute_heatmap(forward(seq, weights, config), seq)
         np.testing.assert_allclose(hm_batched.matrix, hm_single.matrix, atol=1e-6)

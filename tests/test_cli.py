@@ -2,9 +2,13 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from hapstack.cli import main
+from hapstack.wordpiece import build_ascii_vocab
+
+from conftest import read_raw_bundle, write_raw_bundle
 
 TINY_SPEC = "2,2,8,16,256,64"
 
@@ -65,6 +69,26 @@ class TestScore:
         bad.write_bytes(b"XXXXjunkjunkjunk")
         code, _ = run_cli(["score", "--model", str(bad)], "x\n", monkeypatch, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("defect", ["vocab_size", "float_layers", "three_labels"])
+    def test_inconsistent_model_exits_2_at_load(self, tmp_path, monkeypatch, capsys, defect):
+        path = tmp_path / "model.hap"
+        assert main(["init-random", "--config", "2,2,8,16,64,64", "--output", str(path)]) == 0
+        config, tokens, tensors = read_raw_bundle(path)
+        if defect == "vocab_size":
+            tokens = build_ascii_vocab(256).tokens
+        elif defect == "float_layers":
+            config["num_layers"] = 2.0
+        else:
+            config["num_labels"] = 3
+            tensors["classifier_weight"] = np.zeros((8, 3), np.float32)
+            tensors["classifier_bias"] = np.zeros(3, np.float32)
+        write_raw_bundle(path, config, tokens, tensors)
+        code, captured = run_cli(["score", "--model", str(path)], "a b c.\n",
+                                 monkeypatch, capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert "cannot load model" in captured.err
 
 
 class TestInitRandom:

@@ -138,6 +138,12 @@ class TestForwardBatch:
     def test_empty_batch(self, tiny_config):
         assert forward_batch([], init_random(tiny_config, 0), tiny_config) == []
 
+    def test_outputs_are_views_of_the_batch(self, tiny_config):
+        w = init_random(tiny_config, 0)
+        for out in forward_batch([make_seq([2, 9, 3]), make_seq([2, 8, 3])], w, tiny_config):
+            for array in (out.logits, out.final_hidden, *out.attentions):
+                assert not array.flags.owndata
+
     def test_inconsistent_lengths(self, tiny_config):
         w = init_random(tiny_config, 0)
         with pytest.raises(ValueError):
@@ -212,3 +218,14 @@ class TestConfigValidation:
             EncoderConfig(num_layers=1, num_heads=1, hidden_size=8,
                           intermediate_size=16, vocab_size=16, max_positions=16,
                           activation="relu")
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_layers", 2.0), ("hidden_size", "8"), ("num_heads", True),
+        ("max_positions", None), ("num_labels", 3), ("layernorm_epsilon", float("nan")),
+    ])
+    def test_rejected_field_value(self, field, value):
+        fields = dict(num_layers=1, num_heads=1, hidden_size=8, intermediate_size=16,
+                      vocab_size=16, max_positions=16)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            EncoderConfig(**fields)

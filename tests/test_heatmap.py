@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hapstack.encoder import ForwardOutput, forward, forward_batch, init_random
-from hapstack.heatmap import compute_heatmap, compute_heatmaps_batch, render_heatmap
+from hapstack.heatmap import compute_heatmap, render_heatmap
 from hapstack.wordpiece import TokenizedSequence, encode, pad_sequence
 
 from conftest import random_words
@@ -97,7 +97,7 @@ class TestBatch:
         seqs = [encode("aa bb.", vocab, 16, pad_to_max=True),
                 encode("cc dd ee ff.", vocab, 16, pad_to_max=True)]
         outs = forward_batch(seqs, weights, config)
-        batched = compute_heatmaps_batch(outs, seqs)
+        batched = [compute_heatmap(o, s) for o, s in zip(outs, seqs)]
         for out, seq, hm in zip(outs, seqs, batched):
             single = compute_heatmap(out, seq)
             np.testing.assert_array_equal(hm.matrix, single.matrix)
@@ -109,21 +109,12 @@ class TestBatch:
         long = encode("cc dd ee ff gg hh.", vocab, 16, pad_to_max=False)
         target = max(len(short.ids), len(long.ids))
         padded = [pad_sequence(short, target, vocab), pad_sequence(long, target, vocab)]
-        batched = compute_heatmaps_batch(forward_batch(padded, weights, config), padded)
+        batched = [compute_heatmap(o, s)
+                   for o, s in zip(forward_batch(padded, weights, config), padded)]
         for original, hm in zip([short, long], batched):
             single = compute_heatmap(forward(original, weights, config), original)
             assert hm.matrix.shape == single.matrix.shape
             np.testing.assert_allclose(hm.matrix, single.matrix, atol=1e-6)
-
-    def test_empty_batch(self):
-        assert compute_heatmaps_batch([], []) == []
-
-    def test_length_mismatch(self, tiny_model):
-        config, weights, vocab = tiny_model
-        seq = encode("aa.", vocab, 16, pad_to_max=False)
-        out = forward(seq, weights, config)
-        with pytest.raises(ValueError):
-            compute_heatmaps_batch([out], [])
 
 
 class TestRender:

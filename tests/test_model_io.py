@@ -1,5 +1,6 @@
 """Bundle serialization: round-trips, canonical bytes, corruption handling."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -18,7 +19,7 @@ from hapstack.model_io import (
 )
 from hapstack.wordpiece import Vocabulary, build_ascii_vocab
 
-from conftest import TINY_TOKENS
+from conftest import TINY_TOKENS, read_raw_bundle, write_raw_bundle
 
 
 def small_config(vocab_size):
@@ -155,3 +156,53 @@ def test_vocab_block_preserves_exotic_tokens(tmp_path):
     path = tmp_path / "model.hap"
     save_bundle(config, init_random(config, 2), vocab, path)
     assert load_bundle(path).vocab.tokens == tokens
+
+
+def test_golden_bytes(tmp_path):
+    # Pins the init_random draw order and the HAP1 layout byte for byte.
+    path = tmp_path / "model.hap"
+    config = EncoderConfig(2, 2, 8, 16, 64, 32)
+    save_bundle(config, init_random(config, 0), build_ascii_vocab(64), path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "85df07a45c8dfc86c8767f1b014d020ed173cdf3f63365bb615904077e577425")
+
+
+def test_vocab_size_mismatch_rejected_on_save(tmp_path):
+    config = small_config(64)
+    with pytest.raises(ShapeMismatchError):
+        save_bundle(config, init_random(config, 0), build_ascii_vocab(256),
+                    tmp_path / "bad.hap")
+
+
+def test_vocab_size_mismatch_rejected_on_load(tmp_path):
+    path = tmp_path / "model.hap"
+    config = small_config(64)
+    save_bundle(config, init_random(config, 0), build_ascii_vocab(64), path)
+    config_record, _, tensors = read_raw_bundle(path)
+    write_raw_bundle(path, config_record, build_ascii_vocab(256).tokens, tensors)
+    with pytest.raises(ShapeMismatchError):
+        load_bundle(path)
+
+
+def test_lf_in_token_rejected_on_save(tmp_path):
+    tokens = build_ascii_vocab(16).tokens[:-1] + ("a\nb",)
+    config = small_config(len(tokens))
+    with pytest.raises(BundleError):
+        save_bundle(config, init_random(config, 0), Vocabulary(tokens), tmp_path / "bad.hap")
+
+
+@pytest.mark.parametrize("field, value", [("num_layers", 2.0), ("num_heads", True),
+                                          ("num_labels", 3)])
+def test_bad_config_record_rejected_on_load(tmp_path, field, value):
+    path = tmp_path / "model.hap"
+    config = small_config(64)
+    save_bundle(config, init_random(config, 0), build_ascii_vocab(64), path)
+    config_record, tokens, tensors = read_raw_bundle(path)
+    config_record[field] = value
+    if field == "num_labels":
+        # A self-consistent three-label bundle: only the config rule rejects it.
+        tensors["classifier_weight"] = np.zeros((config.hidden_size, value), np.float32)
+        tensors["classifier_bias"] = np.zeros(value, np.float32)
+    write_raw_bundle(path, config_record, tokens, tensors)
+    with pytest.raises(BundleError):
+        load_bundle(path)

@@ -262,3 +262,11 @@ class TestBenchThroughput:
     def test_missing_corpus(self, tiny_config, tmp_path):
         with pytest.raises(FileNotFoundError):
             bench_throughput(tmp_path / "nope.tsv", tiny_config, tiny_config)
+
+    def test_writes_nothing_next_to_the_corpus(self, tiny_config, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        corpus = corpus_dir / "corpus.tsv"
+        write_corpus(corpus, [("d1", "a day."), ("d2", "b day.")])
+        bench_throughput(corpus, tiny_config, tiny_config)
+        assert list(corpus_dir.iterdir()) == [corpus]

@@ -10,7 +10,6 @@ from hapstack.rescore import (
     format_ranked,
     read_beam_file,
     rescore_beam,
-    select_best,
 )
 
 
@@ -111,19 +110,6 @@ class TestRescoreBeam:
         rank_before = [h.text for h in rescore_beam(hyps, weight=1.0)].index(f"h{target}")
         rank_after = [h.text for h in rescore_beam(bumped, weight=1.0)].index(f"h{target}")
         assert rank_after <= rank_before
-
-
-class TestSelectBest:
-    def test_single(self):
-        only = combine_scores(BENIGN, 1.0)
-        assert select_best([only]) is only
-
-    def test_flip_scenario(self):
-        assert select_best(rescore_beam([OFFENSIVE, BENIGN], weight=1.0)).text == BENIGN.text
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            select_best([])
 
 
 class TestBeamFiles:
