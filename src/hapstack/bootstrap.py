@@ -34,7 +34,6 @@ class Lexicon:
     """Deduplicated, sorted term list for deterministic matching."""
 
     terms: tuple[str, ...]
-    language_tag: str = "und"
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -45,11 +44,11 @@ class Lexicon:
         self.terms = tuple(sorted(set(self.terms)))
 
 
-def load_lexicon(path: str | Path, language_tag: str = "und") -> Lexicon:
+def load_lexicon(path: str | Path) -> Lexicon:
     """One term per line, UTF-8; blank lines are ignored."""
     data = Path(path).read_bytes().decode("utf-8")
     terms = tuple(line for line in data.split("\n") if line)
-    return Lexicon(terms=terms, language_tag=language_tag)
+    return Lexicon(terms=terms)
 
 
 @dataclass

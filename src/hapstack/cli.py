@@ -57,7 +57,7 @@ def _load_model(args: argparse.Namespace) -> LoadedModel:
     path = _resolve_model_path(args)
     try:
         return model_io.load_bundle(path)
-    except (OSError, model_io.BundleError, wordpiece.VocabularyError, ValueError) as exc:
+    except (OSError, model_io.BundleError, ValueError) as exc:
         raise CommandError(f"cannot load model {path}: {exc}", USAGE_ERROR) from exc
 
 
@@ -179,9 +179,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not args.corpus:
             raise CommandError("--corpus is required for throughput mode", USAGE_ERROR)
         report_a, report_b, speedup = pipeline.bench_throughput(
-            args.corpus, config_a, config_b, workers=args.workers,
-            dynamic_batching=args.dynamic_batching, batch_size=args.batch_size,
-            seed=args.seed)
+            args.corpus, config_a, config_b, batch_size=args.batch_size, seed=args.seed)
     lines = _format_bench_report(report_a) + _format_bench_report(report_b)
     lines.append(f"speedup={speedup:.4f}")
     sys.stdout.write("".join(line + "\n" for line in lines))
@@ -229,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="decision records file")
     p.add_argument("--threshold", type=float, default=DEFAULT_HAP_THRESHOLD)
     p.add_argument("--max-flagged-fraction", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--dynamic-batching", action="store_true")
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+    p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
     p.add_argument("--token-budget", type=int, default=8192)
     p.set_defaults(func=cmd_filter)
 
@@ -276,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--seq-len", type=int, default=32)
     p.add_argument("--corpus", help="corpus file for throughput mode")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--dynamic-batching", action="store_true")
+    p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

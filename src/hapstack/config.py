@@ -10,6 +10,9 @@ DEFAULT_HAP_THRESHOLD = 0.5
 
 @dataclass
 class RunConfig:
+    """Settings of one corpus run. ``workers`` and ``dynamic_batching`` are
+    accepted and have no effect."""
+
     batch_size: int = 32
     max_length: int = DEFAULT_MAX_LENGTH
     hap_threshold: float = DEFAULT_HAP_THRESHOLD

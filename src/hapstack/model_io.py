@@ -21,7 +21,7 @@ import numpy as np
 
 from .encoder import (EncoderConfig, ModelWeights, named_tensors, tensor_shapes,
                       weights_from_tensors)
-from .wordpiece import Vocabulary
+from .wordpiece import Vocabulary, VocabularyError
 
 MAGIC = b"HAP1"
 
@@ -127,8 +127,11 @@ def load_bundle(path: str | Path) -> LoadedModel:
     except (ValueError, TypeError) as exc:
         raise BundleError(f"invalid config record: {exc}") from exc
 
-    vocab_text = sections["vocab"].decode("utf-8")
-    vocab = Vocabulary(tuple(vocab_text.split("\n")) if vocab_text else ())
+    try:
+        vocab_text = sections["vocab"].decode("utf-8")
+        vocab = Vocabulary(tuple(vocab_text.split("\n")) if vocab_text else ())
+    except (UnicodeDecodeError, VocabularyError) as exc:
+        raise BundleError(f"invalid vocab block: {exc}") from exc
     _check_vocab_size(vocab, config)
 
     try:

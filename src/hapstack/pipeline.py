@@ -3,9 +3,9 @@
 Documents are split into sentences, each sentence scored with a softmax
 over the classifier's two logits (index 1 = HAP), and a document is
 discarded when too large a fraction of its sentences score at or above
-the threshold. Corpus runs stream a line-delimited record format and can
-fan work out over threads while keeping output order and bytes identical
-to a single-worker run.
+the threshold. Corpus runs read a line-delimited record format one line
+at a time and write each decision as soon as it is made, in input order.
+Sentences are batched in order of token length under a token budget.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import statistics
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +30,7 @@ logger = logging.getLogger(__name__)
 
 SENTENCE_TERMINATORS = ".!?"
 BENCH_WARMUP_RUNS = 3
+MALFORMED_LINES_REPORTED = 5
 
 
 @dataclass(frozen=True)
@@ -119,29 +119,21 @@ def softmax_pair(logits: np.ndarray) -> HapScore:
 
 
 def _batch_indices(seqs: list[TokenizedSequence], batch_size: int,
-                   dynamic_batching: bool, token_budget: int) -> list[list[int]]:
-    n = len(seqs)
-    if not dynamic_batching:
-        return [list(range(i, min(i + batch_size, n))) for i in range(0, n, batch_size)]
+                   token_budget: int) -> list[list[int]]:
     # Bucket by token length (stable) so batches pad to similar sizes; cap
     # each batch at max(batch_size, token_budget / longest-member-length).
-    order = sorted(range(n), key=lambda i: len(seqs[i].ids))
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
     batches: list[list[int]] = []
-    current: list[int] = []
     for idx in order:
         cap = max(batch_size, token_budget // max(1, len(seqs[idx].ids)))
-        if current and len(current) >= cap:
-            batches.append(current)
-            current = []
-        current.append(idx)
-    if current:
-        batches.append(current)
+        if not batches or len(batches[-1]) >= cap:
+            batches.append([])
+        batches[-1].append(idx)
     return batches
 
 
 def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
-                    max_length: int = 512, dynamic_batching: bool = False,
-                    token_budget: int = 8192) -> list[HapScore]:
+                    max_length: int = 512, token_budget: int = 8192) -> list[HapScore]:
     """Score each sentence; output order matches input order and the
     results are independent of batch composition within 1e-5."""
     if batch_size < 1:
@@ -151,7 +143,7 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
     seqs = [encode(sentence, vocab, effective_max, pad_to_max=False)
             for sentence in sentences]
     scores: list[HapScore | None] = [None] * len(seqs)
-    for batch in _batch_indices(seqs, batch_size, dynamic_batching, token_budget):
+    for batch in _batch_indices(seqs, batch_size, token_budget):
         target = max(len(seqs[i].ids) for i in batch)
         padded = [pad_sequence(seqs[i], target, vocab) for i in batch]
         outputs = forward_batch(padded, weights, config)
@@ -173,13 +165,12 @@ def decide_from_scores(hap_scores: list[float], hap_threshold: float,
 
 def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
                     max_flagged_fraction: float, batch_size: int = 32,
-                    max_length: int = 512, dynamic_batching: bool = False,
-                    token_budget: int = 8192) -> FilterDecision:
+                    max_length: int = 512, token_budget: int = 8192) -> FilterDecision:
     if not 0.0 <= hap_threshold <= 1.0 or not 0.0 <= max_flagged_fraction <= 1.0:
         raise ValueError("thresholds must lie in [0, 1]")
     sentences = split_sentences(doc.text)
     scores = score_sentences(sentences, model, batch_size, max_length=max_length,
-                             dynamic_batching=dynamic_batching, token_budget=token_budget)
+                             token_budget=token_budget)
     fraction, kept = decide_from_scores([s.hap for s in scores],
                                         hap_threshold, max_flagged_fraction)
     return FilterDecision(
@@ -214,57 +205,50 @@ def format_decision(decision: FilterDecision) -> str:
 
 def run_corpus(input_path: str | Path, output_path: str | Path,
                model: LoadedModel, run_config: RunConfig) -> CorpusSummary:
-    """Filter every document in a tab-separated corpus file.
+    """Filter a tab-separated corpus file, one document per line, streaming.
 
-    One decision record per document, in input order regardless of worker
-    count; malformed lines are logged, counted and skipped.
+    Only LF ends a line; a CR stays in the text. Each decision is written, in
+    input order, before the next line is read. Malformed lines are counted,
+    skipped and reported in one warning. A line that is not valid UTF-8
+    raises ``UnicodeDecodeError`` after every earlier decision is written.
     """
+    if Path(output_path).resolve() == Path(input_path).resolve():
+        raise ValueError(f"output {output_path} would overwrite the input corpus")
     start = time.perf_counter()
-    data = Path(input_path).read_text(encoding="utf-8")
-    if data.endswith("\n"):
-        data = data[:-1]
-    lines = data.split("\n") if data else []
-
-    docs: list[Document] = []
-    skipped = 0
-    for lineno, line in enumerate(lines, start=1):
-        doc = _parse_corpus_line(line)
-        if doc is None:
-            skipped += 1
-            logger.warning("skipping malformed corpus line %d", lineno)
-        else:
-            docs.append(doc)
-
-    def process(doc: Document) -> FilterDecision:
-        return filter_document(
-            doc, model,
-            hap_threshold=run_config.hap_threshold,
-            max_flagged_fraction=run_config.max_flagged_fraction,
-            batch_size=run_config.batch_size,
-            max_length=run_config.max_length,
-            dynamic_batching=run_config.dynamic_batching,
-            token_budget=run_config.token_budget,
-        )
-
-    if run_config.workers > 1 and len(docs) > 1:
-        with ThreadPoolExecutor(max_workers=run_config.workers) as pool:
-            decisions = list(pool.map(process, docs))
-    else:
-        decisions = [process(doc) for doc in docs]
-
-    with open(output_path, "w", encoding="utf-8", newline="\n") as out:
-        for decision in decisions:
+    processed = skipped = kept = 0
+    first_skipped: list[int] = []
+    with (open(input_path, "rb") as src,
+          open(output_path, "w", encoding="utf-8", newline="\n") as out):
+        for lineno, raw in enumerate(src, start=1):
+            doc = _parse_corpus_line(raw.decode("utf-8").removesuffix("\n"))
+            if doc is None:
+                skipped += 1
+                if len(first_skipped) < MALFORMED_LINES_REPORTED:
+                    first_skipped.append(lineno)
+                continue
+            decision = filter_document(
+                doc, model,
+                hap_threshold=run_config.hap_threshold,
+                max_flagged_fraction=run_config.max_flagged_fraction,
+                batch_size=run_config.batch_size,
+                max_length=run_config.max_length,
+                token_budget=run_config.token_budget,
+            )
             out.write(format_decision(decision) + "\n")
+            processed += 1
+            kept += decision.kept
+    if skipped:
+        logger.warning("skipped %d malformed corpus line(s); first line numbers: %s",
+                       skipped, ", ".join(map(str, first_skipped)))
 
     wall_s = time.perf_counter() - start
-    kept = sum(1 for d in decisions if d.kept)
     return CorpusSummary(
-        processed=len(decisions),
+        processed=processed,
         skipped=skipped,
         kept=kept,
-        discarded=len(decisions) - kept,
+        discarded=processed - kept,
         wall_ms=wall_s * 1000.0,
-        docs_per_s=len(decisions) / wall_s if wall_s > 0 else float("inf"),
+        docs_per_s=processed / wall_s if wall_s > 0 else float("inf"),
     )
 
 
@@ -337,8 +321,7 @@ def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
 
 
 def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
-                     config_b: EncoderConfig, workers: int = 1,
-                     dynamic_batching: bool = True, batch_size: int = 32,
+                     config_b: EncoderConfig, batch_size: int = 32,
                      seed: int = 0) -> tuple[BenchReport, BenchReport, float]:
     """Time ``run_corpus`` under two architectures with identical settings."""
     if not Path(corpus_path).exists():
@@ -350,8 +333,7 @@ def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
             weights=init_random(config, seed),
             vocab=build_ascii_vocab(config.vocab_size),
         )
-        run_config = RunConfig(batch_size=batch_size, workers=workers,
-                               dynamic_batching=dynamic_batching)
+        run_config = RunConfig(batch_size=batch_size)
         with tempfile.TemporaryDirectory() as tmp:
             out_path = Path(tmp) / f"decisions.{_bench_label(config)}.tsv"
             summary = run_corpus(corpus_path, out_path, model, run_config)

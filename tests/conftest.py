@@ -67,7 +67,9 @@ def read_raw_bundle(path):
 
 
 def write_raw_bundle(path, config, tokens, tensors):
-    """Write a HAP1 file from parts, without the library's checks."""
+    """Write a HAP1 file from parts, without the library's checks. Tokens are
+    encoded with ``surrogateescape``, so a lone surrogate such as ``"\\udcff"``
+    writes the invalid UTF-8 byte 0xff."""
     table, payload, offset = [], b"", 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f4")
@@ -75,7 +77,7 @@ def write_raw_bundle(path, config, tokens, tensors):
         payload += arr.tobytes()
         offset += arr.nbytes
     sections = [json.dumps(config, sort_keys=True).encode("utf-8"),
-                "\n".join(tokens).encode("utf-8"),
+                "\n".join(tokens).encode("utf-8", "surrogateescape"),
                 json.dumps(table).encode("utf-8")]
     path.write_bytes(b"HAP1" + b"".join(struct.pack("<I", len(s)) + s for s in sections)
                      + payload)

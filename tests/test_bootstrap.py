@@ -19,7 +19,7 @@ from hapstack.bootstrap import (
 
 @pytest.fixture
 def fool_lexicon():
-    return Lexicon(terms=("fool",), language_tag="en")
+    return Lexicon(terms=("fool",))
 
 
 class TestLexicon:
@@ -38,9 +38,8 @@ class TestLexicon:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("fool\nidiot\n\n", encoding="utf-8")
-        lex = load_lexicon(path, language_tag="en")
+        lex = load_lexicon(path)
         assert lex.terms == ("fool", "idiot")
-        assert lex.language_tag == "en"
 
 
 class TestMatchTerms:

@@ -70,13 +70,18 @@ class TestScore:
         code, _ = run_cli(["score", "--model", str(bad)], "x\n", monkeypatch, capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("defect", ["vocab_size", "float_layers", "three_labels"])
+    @pytest.mark.parametrize("defect", ["vocab_size", "float_layers", "three_labels",
+                                        "duplicate_token", "invalid_utf8"])
     def test_inconsistent_model_exits_2_at_load(self, tmp_path, monkeypatch, capsys, defect):
         path = tmp_path / "model.hap"
         assert main(["init-random", "--config", "2,2,8,16,64,64", "--output", str(path)]) == 0
         config, tokens, tensors = read_raw_bundle(path)
         if defect == "vocab_size":
             tokens = build_ascii_vocab(256).tokens
+        elif defect == "duplicate_token":
+            tokens = tokens[:-1] + ["[CLS]"]
+        elif defect == "invalid_utf8":
+            tokens = tokens[:-1] + ["\udcff"]
         elif defect == "float_layers":
             config["num_layers"] = 2.0
         else:
@@ -149,6 +154,30 @@ class TestFilter:
                      "--input", str(tmp_path / "none.tsv"),
                      "--output", str(tmp_path / "out.tsv")])
         assert code == 1
+
+    def test_invalid_utf8_line_exits_1_after_earlier_decisions(self, bundle, tmp_path,
+                                                               capsys):
+        src, dst = tmp_path / "in.tsv", tmp_path / "out.tsv"
+        src.write_bytes(b"d1\tFine.\nd2\tBad \xff byte.\nd3\tLater.\n")
+        code = main(["filter", "--model", str(bundle), "--input", str(src),
+                     "--output", str(dst)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("hapstack: ") and "Traceback" not in captured.err
+        assert [line.split("\t")[0] for line in dst.read_text(encoding="utf-8").splitlines()] \
+            == ["d1"]
+
+    def test_workers_and_dynamic_batching_flags_have_no_effect(self, bundle, tmp_path,
+                                                               capsys):
+        src = tmp_path / "in.tsv"
+        src.write_text("d1\tOne fine day. Another one!\nd2\tShort.\n", encoding="utf-8")
+        outputs = []
+        for extra in ([], ["--workers", "3", "--dynamic-batching"]):
+            dst = tmp_path / f"out{len(outputs)}.tsv"
+            assert main(["filter", "--model", str(bundle), "--input", str(src),
+                         "--output", str(dst), *extra]) == 0
+            outputs.append(dst.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestHeatmap:

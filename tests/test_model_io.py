@@ -191,6 +191,17 @@ def test_lf_in_token_rejected_on_save(tmp_path):
         save_bundle(config, init_random(config, 0), Vocabulary(tokens), tmp_path / "bad.hap")
 
 
+@pytest.mark.parametrize("bad_token", ["[CLS]", "\udcff"], ids=["duplicate", "invalid_utf8"])
+def test_bad_vocab_block_rejected_on_load(tmp_path, bad_token):
+    path = tmp_path / "model.hap"
+    config = small_config(64)
+    save_bundle(config, init_random(config, 0), build_ascii_vocab(64), path)
+    config_record, tokens, tensors = read_raw_bundle(path)
+    write_raw_bundle(path, config_record, tokens[:-1] + [bad_token], tensors)
+    with pytest.raises(BundleError):
+        load_bundle(path)
+
+
 @pytest.mark.parametrize("field, value", [("num_layers", 2.0), ("num_heads", True),
                                           ("num_labels", 3)])
 def test_bad_config_record_rejected_on_load(tmp_path, field, value):

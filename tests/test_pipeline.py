@@ -1,12 +1,18 @@
 """Pipeline tests: splitting, scoring, filtering, corpus runs, benches."""
 
+import logging
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hapstack import pipeline
 from hapstack.config import RunConfig
 from hapstack.encoder import EncoderConfig, init_random
 from hapstack.model_io import LoadedModel
@@ -22,6 +28,7 @@ from hapstack.pipeline import (
     score_sentences,
     softmax_pair,
     split_sentences,
+    unescape_text,
 )
 
 from conftest import random_words
@@ -85,13 +92,12 @@ class TestScoreSentences:
             assert abs(a.hap - b.hap) < 1e-5
             assert abs(a.hap - c.hap) < 1e-5
 
-    def test_dynamic_batching_same_scores(self, tiny_model):
+    def test_token_budget_invariance(self, tiny_model):
         rng = np.random.default_rng(12)
         sentences = [random_words(rng, int(rng.integers(1, 12))) for _ in range(20)]
-        plain = score_sentences(sentences, tiny_model, batch_size=4)
-        dynamic = score_sentences(sentences, tiny_model, batch_size=4,
-                                  dynamic_batching=True, token_budget=64)
-        for a, b in zip(plain, dynamic):
+        default = score_sentences(sentences, tiny_model, batch_size=4)
+        budgeted = score_sentences(sentences, tiny_model, batch_size=4, token_budget=64)
+        for a, b in zip(default, budgeted):
             assert abs(a.hap - b.hap) < 1e-5
 
     def test_empty_input(self, tiny_model):
@@ -189,6 +195,44 @@ class TestRunCorpus:
         lines = dst.read_text(encoding="utf-8").splitlines()
         assert [l.split("\t")[0] for l in lines] == ["a", "b"]
 
+    def test_one_warning_for_all_malformed_lines(self, tiny_model, tmp_path, caplog):
+        src, dst = tmp_path / "in.tsv", tmp_path / "out.tsv"
+        src.write_text("a\tone.\nno-tab\nb\ttwo.\n\tempty id\nc\tthree.\n\n",
+                       encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="hapstack.pipeline"):
+            summary = run_corpus(src, dst, tiny_model, RunConfig())
+        assert summary.skipped == 3
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "skipped 3 " in message and "2, 4, 6" in message
+
+    def test_memory_does_not_grow_with_corpus_size(self, tiny_model, tmp_path):
+        rng = np.random.default_rng(22)
+        docs = [(f"doc{i}", ". ".join(random_words(rng, 4) for _ in range(4)) + ".")
+                for i in range(800)]
+
+        def peak_bytes(n_docs):
+            src = tmp_path / f"in{n_docs}.tsv"
+            write_corpus(src, docs[:n_docs])
+            tracemalloc.start()
+            try:
+                run_corpus(src, tmp_path / "out.tsv", tiny_model, RunConfig())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(20)  # warm-up: first-call allocations are not per-document
+        small, large = peak_bytes(200), peak_bytes(800)
+        assert large < 1.25 * small, f"peak {small} B for 200 docs, {large} B for 800"
+
+    def test_output_over_input_rejected(self, tiny_model, tmp_path):
+        src = tmp_path / "in.tsv"
+        write_corpus(src, [("d1", "a day.")])
+        with pytest.raises(ValueError):
+            run_corpus(src, tmp_path / "." / "in.tsv", tiny_model, RunConfig())
+        assert src.read_text(encoding="utf-8") == "d1\ta day.\n"
+
     def test_decision_record_format(self, tiny_model, tmp_path):
         src, dst = tmp_path / "in.tsv", tmp_path / "out.tsv"
         src.write_text("d1\tGood day. Bad day!\n", encoding="utf-8")
@@ -213,6 +257,52 @@ class TestRunCorpus:
         keys = [line.split("=")[0] for line in summary.to_lines()]
         assert keys == ["processed", "skipped", "kept", "discarded", "wall_ms", "docs_per_s"]
         assert summary.kept + summary.discarded == summary.processed
+
+
+_ID = st.text("abc019", min_size=1, max_size=3)
+_TEXT = st.text("ab .!\r\t", max_size=12)
+
+
+@st.composite
+def corpus_lines(draw):
+    """One raw corpus line: valid, with an empty id, or with no tab; the
+    text may carry CR and an escaped LF at either edge."""
+    kind = draw(st.sampled_from(["valid", "empty id", "no tab"]))
+    text = draw(_TEXT)
+    if kind == "no tab":
+        return text.replace("\t", " ")
+    edges = draw(st.tuples(st.booleans(), st.booleans()))
+    text = "\\n" * edges[0] + text + "\\n" * edges[1]
+    return ("" if kind == "empty id" else draw(_ID)) + "\t" + text
+
+
+class TestStreamingReader:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(corpus_lines(), max_size=6), st.booleans())
+    @example(lines=["d1\ta\rb.", "d2\tc."], final_lf=False)
+    def test_lines_counted_and_ordered(self, tiny_model, lines, final_lf):
+        data = "\n".join(lines) + ("\n" if final_lf and lines else "")
+        n_lines = data.count("\n") + (1 if data and not data.endswith("\n") else 0)
+        expected = [(line[:line.index("\t")], unescape_text(line[line.index("\t") + 1:]))
+                    for line in data.split("\n")[:n_lines]
+                    if line.find("\t") > 0]
+        seen = []
+        filter_document = pipeline.filter_document
+
+        def recording(doc, *args, **kwargs):
+            seen.append((doc.id, doc.text))
+            return filter_document(doc, *args, **kwargs)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            src, dst = Path(tmp) / "in.tsv", Path(tmp) / "out.tsv"
+            src.write_bytes(data.encode("utf-8"))
+            with mock.patch.object(pipeline, "filter_document", recording):
+                summary = run_corpus(src, dst, tiny_model, RunConfig())
+            out_ids = [record.split("\t")[0]
+                       for record in dst.read_bytes().decode("utf-8").split("\n")[:-1]]
+        assert summary.processed + summary.skipped == n_lines
+        assert seen == expected
+        assert out_ids == [doc_id for doc_id, _ in expected]
 
 
 class TestBenchLatency:
@@ -251,10 +341,8 @@ class TestBenchThroughput:
         corpus = tmp_path / "corpus.tsv"
         write_corpus(corpus, docs)
         # one untimed pass so numpy/BLAS warmup doesn't skew side a
-        bench_throughput(corpus, tiny_config, tiny_config, workers=1,
-                         dynamic_batching=True)
-        report_a, report_b, speedup = bench_throughput(corpus, tiny_config, tiny_config,
-                                                       workers=1, dynamic_batching=True)
+        bench_throughput(corpus, tiny_config, tiny_config)
+        report_a, report_b, speedup = bench_throughput(corpus, tiny_config, tiny_config)
         assert 0.8 <= speedup <= 1.25
         assert report_a.throughput_docs_per_s is not None
         assert report_b.throughput_docs_per_s is not None
