@@ -63,7 +63,9 @@ def _load_model(args: argparse.Namespace) -> LoadedModel:
 
 def _read_input_lines(args: argparse.Namespace) -> list[str]:
     if args.input:
-        data = Path(args.input).read_text(encoding="utf-8")
+        # newline="\n": only LF ends a line, as on stdin and in `filter`
+        with open(args.input, encoding="utf-8", newline="\n") as f:
+            data = f.read()
     else:
         data = sys.stdin.read()
     if data.endswith("\n"):
@@ -204,7 +206,8 @@ def cmd_init_random(args: argparse.Namespace) -> int:
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", "-m", help="model bundle path "
                         "(falls back to $HAPSTACK_MODEL)")
-    parser.add_argument("--batch-size", type=int, default=32)
+    parser.add_argument("--batch-size", type=int, default=32,
+                        help="most sentences per encoder call (default 32)")
     parser.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
 
 
@@ -221,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output file (default stdout)")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("filter", help="filter a document corpus")
+    p = sub.add_parser("filter", help="filter a document corpus",
+                       description="Filter a document corpus. Documents are read into "
+                       f"a window of {pipeline.WINDOW_SENTENCES} sentences, scored together "
+                       "in length-sorted batches, and their decisions written in input "
+                       "order.")
     _add_model_flags(p)
     p.add_argument("--input", required=True, help="corpus file: <id>\\t<text>")
     p.add_argument("--output", required=True, help="decision records file")
@@ -229,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-flagged-fraction", type=float, default=0.5)
     p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
-    p.add_argument("--token-budget", type=int, default=8192)
+    p.add_argument("--token-budget", type=int, default=8192,
+                   help="most padded tokens per encoder call; a longer single "
+                   "sentence runs alone (default 8192)")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("heatmap", help="render attention heatmaps for sentences")
@@ -275,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=int, default=32)
     p.add_argument("--corpus", help="corpus file for throughput mode")
     p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=int, default=32,
+                   help="most sentences per encoder call (default 32)")
     p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

@@ -10,8 +10,10 @@ DEFAULT_HAP_THRESHOLD = 0.5
 
 @dataclass
 class RunConfig:
-    """Settings of one corpus run. ``workers`` and ``dynamic_batching`` are
-    accepted and have no effect."""
+    """Settings of one corpus run. ``batch_size`` and ``token_budget`` are
+    ceilings on a batch's rows and padded tokens (a single sentence longer
+    than ``token_budget`` still runs, alone). ``workers`` and
+    ``dynamic_batching`` are accepted and have no effect."""
 
     batch_size: int = 32
     max_length: int = DEFAULT_MAX_LENGTH

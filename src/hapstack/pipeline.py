@@ -3,9 +3,11 @@
 Documents are split into sentences, each sentence scored with a softmax
 over the classifier's two logits (index 1 = HAP), and a document is
 discarded when too large a fraction of its sentences score at or above
-the threshold. Corpus runs read a line-delimited record format one line
-at a time and write each decision as soon as it is made, in input order.
-Sentences are batched in order of token length under a token budget.
+the threshold. Corpus runs read a line-delimited record format and score
+a bounded window of documents at a time, writing the decisions in input
+order. Sentences are batched in order of token length under a row and a
+token ceiling, and a batch stops growing where its padding would cost
+more than another call.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import statistics
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,18 @@ logger = logging.getLogger(__name__)
 
 SENTENCE_TERMINATORS = ".!?"
 BENCH_WARMUP_RUNS = 3
+# bench_throughput repeats A/B/B/A runs until each side has run this long,
+# so a short corpus is timed many times and a long one twice.
+BENCH_THROUGHPUT_MIN_S = 2.0
 MALFORMED_LINES_REPORTED = 5
+# A corpus window is scored once it holds this many sentences: enough for
+# cross-document batches, small enough that memory stays flat.
+WINDOW_SENTENCES = 256
+# The fixed cost of one forward_batch call on the 4-layer model, in tokens
+# of batch work: a least-squares fit of its time over 29 batch shapes gave
+# 2-3 ms per call at 200-250 us per token. A batch takes a longer sequence
+# only while the pad tokens that adds cost less than starting a new batch.
+CALL_COST_TOKENS = 12
 
 
 @dataclass(frozen=True)
@@ -120,28 +134,49 @@ def softmax_pair(logits: np.ndarray) -> HapScore:
 
 def _batch_indices(seqs: list[TokenizedSequence], batch_size: int,
                    token_budget: int) -> list[list[int]]:
-    # Bucket by token length (stable) so batches pad to similar sizes; cap
-    # each batch at max(batch_size, token_budget / longest-member-length).
+    """Group indices into batches in order of token length (stable).
+
+    A batch holds at most ``batch_size`` rows and, unless it is one row,
+    at most ``token_budget`` padded tokens. It also stops growing when the
+    next, longer sequence would add more pad tokens than
+    ``CALL_COST_TOKENS``.
+    """
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
     batches: list[list[int]] = []
+    width = 0
     for idx in order:
-        cap = max(batch_size, token_budget // max(1, len(seqs[idx].ids)))
-        if not batches or len(batches[-1]) >= cap:
+        length = len(seqs[idx].ids)
+        rows = len(batches[-1]) if batches else 0
+        if (not rows or rows >= batch_size or (rows + 1) * length > token_budget
+                or rows * (length - width) > CALL_COST_TOKENS):
             batches.append([])
         batches[-1].append(idx)
+        width = length
     return batches
 
 
 def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
                     max_length: int = 512, token_budget: int = 8192) -> list[HapScore]:
     """Score each sentence; output order matches input order and the
-    results are independent of batch composition within 1e-5."""
+    results are independent of batch composition within 1e-5.
+
+    Each distinct token-id sequence is run through the encoder once and
+    its score shared by every sentence that encodes to it. ``batch_size``
+    and ``token_budget`` are ceilings on a batch's rows and padded tokens.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     config, weights, vocab = model
     effective_max = min(max_length, config.max_positions)
-    seqs = [encode(sentence, vocab, effective_max, pad_to_max=False)
-            for sentence in sentences]
+    seqs: list[TokenizedSequence] = []
+    slot_of_ids: dict[tuple[int, ...], int] = {}
+    slots = []
+    for sentence in sentences:
+        seq = encode(sentence, vocab, effective_max, pad_to_max=False)
+        slot = slot_of_ids.setdefault(tuple(seq.ids), len(seqs))
+        if slot == len(seqs):
+            seqs.append(seq)
+        slots.append(slot)
     scores: list[HapScore | None] = [None] * len(seqs)
     for batch in _batch_indices(seqs, batch_size, token_budget):
         target = max(len(seqs[i].ids) for i in batch)
@@ -149,7 +184,7 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
         outputs = forward_batch(padded, weights, config)
         for i, output in zip(batch, outputs):
             scores[i] = softmax_pair(output.logits)
-    return scores  # type: ignore[return-value]
+    return [scores[slot] for slot in slots]  # type: ignore[misc]
 
 
 def decide_from_scores(hap_scores: list[float], hap_threshold: float,
@@ -163,22 +198,28 @@ def decide_from_scores(hap_scores: list[float], hap_threshold: float,
     return fraction, fraction <= max_flagged_fraction
 
 
-def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
-                    max_flagged_fraction: float, batch_size: int = 32,
-                    max_length: int = 512, token_budget: int = 8192) -> FilterDecision:
+def _decision(doc_id: str, sentences: list[str], scores: list[HapScore],
+              hap_threshold: float, max_flagged_fraction: float) -> FilterDecision:
+    """The one place a document's scored sentences become its decision."""
     if not 0.0 <= hap_threshold <= 1.0 or not 0.0 <= max_flagged_fraction <= 1.0:
         raise ValueError("thresholds must lie in [0, 1]")
-    sentences = split_sentences(doc.text)
-    scores = score_sentences(sentences, model, batch_size, max_length=max_length,
-                             token_budget=token_budget)
     fraction, kept = decide_from_scores([s.hap for s in scores],
                                         hap_threshold, max_flagged_fraction)
     return FilterDecision(
-        doc_id=doc.id,
+        doc_id=doc_id,
         sentence_scores=list(zip(sentences, scores)),
         flagged_fraction=fraction,
         kept=kept,
     )
+
+
+def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
+                    max_flagged_fraction: float, batch_size: int = 32,
+                    max_length: int = 512, token_budget: int = 8192) -> FilterDecision:
+    sentences = split_sentences(doc.text)
+    scores = score_sentences(sentences, model, batch_size, max_length=max_length,
+                             token_budget=token_budget)
+    return _decision(doc.id, sentences, scores, hap_threshold, max_flagged_fraction)
 
 
 def unescape_text(text: str) -> str:
@@ -203,40 +244,64 @@ def format_decision(decision: FilterDecision) -> str:
             f"{decision.flagged_fraction:.6f}\t{joined}")
 
 
+def _write_window(window: list[tuple[Document, list[str]]], out, model: LoadedModel,
+                  run_config: RunConfig) -> int:
+    """Score a window's sentences as one set, write its decisions in input
+    order and return how many documents were kept."""
+    scores = iter(score_sentences(
+        [sentence for _, sentences in window for sentence in sentences], model,
+        run_config.batch_size, max_length=run_config.max_length,
+        token_budget=run_config.token_budget))
+    kept = 0
+    for doc, sentences in window:
+        decision = _decision(doc.id, sentences, list(islice(scores, len(sentences))),
+                             run_config.hap_threshold, run_config.max_flagged_fraction)
+        out.write(format_decision(decision) + "\n")
+        kept += decision.kept
+    return kept
+
+
 def run_corpus(input_path: str | Path, output_path: str | Path,
                model: LoadedModel, run_config: RunConfig) -> CorpusSummary:
     """Filter a tab-separated corpus file, one document per line, streaming.
 
-    Only LF ends a line; a CR stays in the text. Each decision is written, in
-    input order, before the next line is read. Malformed lines are counted,
-    skipped and reported in one warning. A line that is not valid UTF-8
-    raises ``UnicodeDecodeError`` after every earlier decision is written.
+    Only LF ends a line; a CR stays in the text. Parsed documents gather in
+    a window until it holds ``WINDOW_SENTENCES`` sentences; the window's
+    sentences are then scored together, so batches span documents, and its
+    decisions are written in input order. Memory is bounded by the window,
+    not the corpus. Malformed lines are counted, skipped and reported in one
+    warning. A line that is not valid UTF-8 raises ``UnicodeDecodeError``
+    after every earlier decision is written.
     """
     if Path(output_path).resolve() == Path(input_path).resolve():
         raise ValueError(f"output {output_path} would overwrite the input corpus")
     start = time.perf_counter()
     processed = skipped = kept = 0
     first_skipped: list[int] = []
+    window: list[tuple[Document, list[str]]] = []
+    window_sentences = 0
     with (open(input_path, "rb") as src,
           open(output_path, "w", encoding="utf-8", newline="\n") as out):
         for lineno, raw in enumerate(src, start=1):
-            doc = _parse_corpus_line(raw.decode("utf-8").removesuffix("\n"))
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                _write_window(window, out, model, run_config)
+                raise
+            doc = _parse_corpus_line(line.removesuffix("\n"))
             if doc is None:
                 skipped += 1
                 if len(first_skipped) < MALFORMED_LINES_REPORTED:
                     first_skipped.append(lineno)
                 continue
-            decision = filter_document(
-                doc, model,
-                hap_threshold=run_config.hap_threshold,
-                max_flagged_fraction=run_config.max_flagged_fraction,
-                batch_size=run_config.batch_size,
-                max_length=run_config.max_length,
-                token_budget=run_config.token_budget,
-            )
-            out.write(format_decision(decision) + "\n")
+            sentences = split_sentences(doc.text)
+            window.append((doc, sentences))
+            window_sentences += len(sentences)
             processed += 1
-            kept += decision.kept
+            if window_sentences >= WINDOW_SENTENCES:
+                kept += _write_window(window, out, model, run_config)
+                window, window_sentences = [], 0
+        kept += _write_window(window, out, model, run_config)
     if skipped:
         logger.warning("skipped %d malformed corpus line(s); first line numbers: %s",
                        skipped, ", ".join(map(str, first_skipped)))
@@ -323,31 +388,42 @@ def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
 def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
                      config_b: EncoderConfig, batch_size: int = 32,
                      seed: int = 0) -> tuple[BenchReport, BenchReport, float]:
-    """Time ``run_corpus`` under two architectures with identical settings."""
+    """Time ``run_corpus`` under two architectures with identical settings.
+
+    Both models are built first. The corpus then runs in A/B/B/A groups,
+    so drift on a noisy machine hits both sides alike, until each side has
+    run for ``BENCH_THROUGHPUT_MIN_S`` seconds (at least two runs per
+    side). A side reports its median wall time (``mean_latency_ms``), the
+    stddev over its runs and the docs/s at that median. Speedup is
+    larger-model median over smaller-model median.
+    """
     if not Path(corpus_path).exists():
         raise FileNotFoundError(f"corpus not found: {corpus_path}")
-
-    def run(config: EncoderConfig) -> BenchReport:
-        model = LoadedModel(
-            config=config,
-            weights=init_random(config, seed),
-            vocab=build_ascii_vocab(config.vocab_size),
-        )
-        run_config = RunConfig(batch_size=batch_size)
-        with tempfile.TemporaryDirectory() as tmp:
-            out_path = Path(tmp) / f"decisions.{_bench_label(config)}.tsv"
-            summary = run_corpus(corpus_path, out_path, model, run_config)
-        return BenchReport(
+    configs = (config_a, config_b)
+    models = [LoadedModel(config=config, weights=init_random(config, seed),
+                          vocab=build_ascii_vocab(config.vocab_size))
+              for config in configs]
+    run_config = RunConfig(batch_size=batch_size)
+    walls_ms: tuple[list[float], list[float]] = ([], [])
+    processed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = Path(tmp) / "decisions.tsv"
+        while min(sum(walls) for walls in walls_ms) < BENCH_THROUGHPUT_MIN_S * 1000.0:
+            for side in (0, 1, 1, 0):
+                summary = run_corpus(corpus_path, out_path, models[side], run_config)
+                walls_ms[side].append(summary.wall_ms)
+                processed = summary.processed
+    report_a, report_b = (
+        BenchReport(
             model_label=_bench_label(config),
             architecture=config.architecture,
-            mean_latency_ms=summary.wall_ms,
-            stddev_ms=0.0,
+            mean_latency_ms=statistics.median(walls),
+            stddev_ms=statistics.pstdev(walls),
             seeds=1,
-            throughput_docs_per_s=summary.docs_per_s,
+            throughput_docs_per_s=processed * 1000.0 / statistics.median(walls),
         )
-
-    report_a = run(config_a)
-    report_b = run(config_b)
+        for config, walls in zip(configs, walls_ms)
+    )
     small, large = _ordered_by_size(config_a, config_b, report_a, report_b)
     speedup = large.mean_latency_ms / small.mean_latency_ms
     return report_a, report_b, speedup

@@ -40,6 +40,18 @@ class TestScore:
         assert sentence == "A first one."
         assert float(hap) + float(non_hap) == pytest.approx(1.0, abs=1e-6)
 
+    def test_only_lf_ends_a_line(self, bundle, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"a\rb\n")
+        code, from_file = run_cli(["score", "--model", str(bundle), "--input", str(src)],
+                                  "", monkeypatch, capsys)
+        assert code == 0
+        code, from_stdin = run_cli(["score", "--model", str(bundle)], "a\rb\n",
+                                   monkeypatch, capsys)
+        assert code == 0
+        assert from_file.out.count("\n") == from_stdin.out.count("\n") == 1
+        assert from_file.out == from_stdin.out
+
     def test_empty_stdin(self, bundle, monkeypatch, capsys):
         code, captured = run_cli(["score", "--model", str(bundle)], "",
                                  monkeypatch, capsys)

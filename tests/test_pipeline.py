@@ -1,5 +1,6 @@
 """Pipeline tests: splitting, scoring, filtering, corpus runs, benches."""
 
+import contextlib
 import logging
 import math
 import tempfile
@@ -30,8 +31,24 @@ from hapstack.pipeline import (
     split_sentences,
     unescape_text,
 )
+from hapstack.pipeline import _batch_indices
+from hapstack.wordpiece import TokenizedSequence
 
 from conftest import random_words
+
+
+@contextlib.contextmanager
+def forward_rows():
+    """Record the row count of every forward_batch call the pipeline makes."""
+    rows = []
+    forward_batch = pipeline.forward_batch
+
+    def counting(seqs, *args):
+        rows.append(len(seqs))
+        return forward_batch(seqs, *args)
+
+    with mock.patch.object(pipeline, "forward_batch", counting):
+        yield rows
 
 
 class TestSplitSentences:
@@ -103,9 +120,45 @@ class TestScoreSentences:
     def test_empty_input(self, tiny_model):
         assert score_sentences([], tiny_model, batch_size=4) == []
 
+    def test_duplicates_scored_once(self, tiny_model):
+        sentences = ["same words here.", "other words.", "same words here.", "same words here."]
+        with forward_rows() as rows:
+            scores = score_sentences(sentences, tiny_model, batch_size=4)
+        assert sum(rows) == 2
+        assert scores[0] == scores[2] == scores[3]
+        alone = score_sentences(["other words."], tiny_model, batch_size=1)
+        assert abs(scores[1].hap - alone[0].hap) < 1e-5
+
     def test_bad_batch_size(self, tiny_model):
         with pytest.raises(ValueError):
             score_sentences(["x"], tiny_model, batch_size=0)
+
+
+def _seqs(lengths):
+    return [TokenizedSequence(ids=[1] * n, attention_mask=[1] * n, word_spans=[],
+                              original_text="", pieces=[], words=[]) for n in lengths]
+
+
+class TestBatchIndices:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 600), max_size=60), st.integers(1, 40),
+           st.integers(1, 10000))
+    def test_partition_within_ceilings(self, lengths, batch_size, token_budget):
+        batches = _batch_indices(_seqs(lengths), batch_size, token_budget)
+        flat = [i for batch in batches for i in batch]
+        assert sorted(flat) == list(range(len(lengths)))
+        assert [lengths[i] for i in flat] == sorted(lengths)
+        for batch in batches:
+            assert 1 <= len(batch) <= batch_size
+            width = max(lengths[i] for i in batch)
+            assert len(batch) == 1 or len(batch) * width <= token_budget
+
+    def test_stops_where_padding_costs_more_than_a_call(self):
+        cost = pipeline.CALL_COST_TOKENS
+        # cost + 1 pad tokens start a new batch; cost pad tokens do not
+        lengths = [10] * (cost + 1) + [11]
+        assert _batch_indices(_seqs(lengths), 64, 8192) == [list(range(cost + 1)), [cost + 1]]
+        assert _batch_indices(_seqs([10] * cost + [11]), 64, 8192) == [list(range(cost + 1))]
 
 
 class TestFilterDocument:
@@ -226,6 +279,41 @@ class TestRunCorpus:
         small, large = peak_bytes(200), peak_bytes(800)
         assert large < 1.25 * small, f"peak {small} B for 200 docs, {large} B for 800"
 
+    def test_window_batches_across_documents(self, tiny_model, tmp_path):
+        src = tmp_path / "in.tsv"
+        write_corpus(src, [(f"d{i}", f"word{i % 10} here.") for i in range(20)])
+        with forward_rows() as rows:
+            summary = run_corpus(src, tmp_path / "out.tsv", tiny_model, RunConfig())
+        assert summary.processed == 20
+        assert rows == [10]  # one batch, each distinct sentence once
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 8), max_size=5), min_size=1, max_size=12),
+           st.integers(0, 2**16))
+    def test_window_size_does_not_change_decisions(self, tiny_model, doc_shapes, seed):
+        rng = np.random.default_rng(seed)
+        docs = [(f"d{i}", " ".join(random_words(rng, n) + "." for n in shape))
+                for i, shape in enumerate(doc_shapes)]
+        records = []
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "in.tsv"
+            write_corpus(src, docs)
+            for window in (1, 2, pipeline.WINDOW_SENTENCES):
+                dst = Path(tmp) / f"out{window}.tsv"
+                with mock.patch.object(pipeline, "WINDOW_SENTENCES", window):
+                    run_corpus(src, dst, tiny_model, RunConfig(batch_size=3))
+                records.append([line.split("\t")
+                                for line in dst.read_text(encoding="utf-8").splitlines()])
+        first = records[0]
+        assert [r[0] for r in first] == [doc_id for doc_id, _ in docs]
+        for other in records[1:]:
+            assert [r[:2] for r in other] == [r[:2] for r in first]
+            for a, b in zip(first, other):
+                scores_a = [float(x) for x in a[3].split(",") if x]
+                scores_b = [float(x) for x in b[3].split(",") if x]
+                assert len(scores_a) == len(scores_b)
+                assert all(abs(x - y) <= 1e-5 for x, y in zip(scores_a, scores_b))
+
     def test_output_over_input_rejected(self, tiny_model, tmp_path):
         src = tmp_path / "in.tsv"
         write_corpus(src, [("d1", "a day.")])
@@ -287,16 +375,16 @@ class TestStreamingReader:
                     for line in data.split("\n")[:n_lines]
                     if line.find("\t") > 0]
         seen = []
-        filter_document = pipeline.filter_document
+        write_window = pipeline._write_window
 
-        def recording(doc, *args, **kwargs):
-            seen.append((doc.id, doc.text))
-            return filter_document(doc, *args, **kwargs)
+        def recording(window, *args):
+            seen.extend((doc.id, doc.text) for doc, _ in window)
+            return write_window(window, *args)
 
         with tempfile.TemporaryDirectory() as tmp:
             src, dst = Path(tmp) / "in.tsv", Path(tmp) / "out.tsv"
             src.write_bytes(data.encode("utf-8"))
-            with mock.patch.object(pipeline, "filter_document", recording):
+            with mock.patch.object(pipeline, "_write_window", recording):
                 summary = run_corpus(src, dst, tiny_model, RunConfig())
             out_ids = [record.split("\t")[0]
                        for record in dst.read_bytes().decode("utf-8").split("\n")[:-1]]
