@@ -5,7 +5,9 @@ feed-forward), learned absolute position embeddings, a tanh pooler over
 the first position and a linear two-way classification head. Attention
 probabilities for every layer and head are returned alongside the
 logits, and padded positions are masked out of every attention column
-before the row softmax.
+before the row softmax. The gelu is the exact-erf form, with erf
+computed in this module by a float32 rational approximation, so the
+package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .wordpiece import TokenizedSequence
 
@@ -24,6 +25,18 @@ INIT_SCALE = 0.02
 ATTENTION_MASK_BIAS = -1.0e9
 
 ACTIVATIONS = ("gelu",)
+
+# erf(x) ~= x * P(x^2) / Q(x^2) on x clipped to [-4, 4], where float32 erf
+# is already +-1: the minimax rational used for float32 erf by Eigen and
+# XLA, max abs error about 4.2e-7. Coefficients run from the highest power.
+ERF_CLIP = np.float32(4.0)
+ERF_NUMERATOR = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+ERF_DENOMINATOR = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02))
 
 
 @dataclass(frozen=True)
@@ -121,12 +134,11 @@ class ModelWeights:
 
 @dataclass
 class ForwardOutput:
-    """Per-sequence classifier logits, per-layer/head attention
-    probabilities ([heads, T, T], rows sum to 1) and final hidden states."""
+    """Per-sequence classifier logits and per-layer/head attention
+    probabilities ([heads, T, T], rows sum to 1)."""
 
     logits: np.ndarray
     attentions: list[np.ndarray]
-    final_hidden: np.ndarray
 
 
 def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -207,9 +219,34 @@ def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -
     return (x - mean) / np.sqrt(var + np.float32(eps)) * gamma + beta
 
 
+def _horner(x2: np.ndarray, coefficients: tuple[np.float32, ...]) -> np.ndarray:
+    """The polynomial in ``x2``, evaluated in place in one new array."""
+    acc = x2 * coefficients[0]
+    acc += coefficients[1]
+    for c in coefficients[2:]:
+        acc *= x2
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """float32 erf of ``x`` (see ``ERF_NUMERATOR``); in-place updates keep
+    the temporaries to four arrays of ``x``'s size."""
+    x = np.clip(x, -ERF_CLIP, ERF_CLIP)
+    x2 = x * x
+    p = _horner(x2, ERF_NUMERATOR)
+    p *= x
+    p /= _horner(x2, ERF_DENOMINATOR)
+    return p
+
+
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # Exact erf form, not the tanh approximation.
-    return np.float32(0.5) * x * (np.float32(1.0) + erf(x / np.float32(math.sqrt(2.0))))
+    # Exact erf form, not the tanh approximation: 0.5 * x * (1 + erf(x / sqrt 2)).
+    out = _erf(x / np.float32(math.sqrt(2.0)))
+    out += np.float32(1.0)
+    out *= x
+    out *= np.float32(0.5)
+    return out
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -282,7 +319,6 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
         ForwardOutput(
             logits=logits[b],
             attentions=[layer_probs[b] for layer_probs in attention_stack],
-            final_hidden=hidden_states[b],
         )
         for b in range(batch)
     ]

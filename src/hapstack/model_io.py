@@ -120,7 +120,7 @@ def load_bundle(path: str | Path) -> LoadedModel:
         raw_len, pos = _take(data, pos, 4, f"{section} length")
         (length,) = struct.unpack("<I", raw_len)
         sections[section], pos = _take(data, pos, length, section)
-    payload = data[pos:]
+    payload = memoryview(data)[pos:]  # a view: slicing bytes would copy the payload
 
     try:
         config = EncoderConfig(**json.loads(sections["config"].decode("utf-8")))
@@ -167,6 +167,8 @@ def load_bundle(path: str | Path) -> LoadedModel:
 
     tensors: dict[str, np.ndarray] = {}
     for name, _, dims, offset in entries:
+        # The copy is needed: a view would sit at an unaligned offset, which
+        # makes numpy's matmul many times slower.
         arr = np.frombuffer(payload, dtype="<f4", count=prod(dims),
                             offset=offset).reshape(dims).astype(np.float32)
         if not np.isfinite(arr).all():

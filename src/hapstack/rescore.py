@@ -56,7 +56,9 @@ def rescore_beam(hypotheses: list[Hypothesis], model: LoadedModel | None = None,
 def read_beam_file(path: str | Path) -> list[Hypothesis]:
     """Parse ``<original_score><TAB><text>[<TAB><non_hap>]`` lines."""
     hypotheses = []
-    data = Path(path).read_text(encoding="utf-8")
+    # newline="\n": only LF ends a line, as in every other input
+    with open(path, encoding="utf-8", newline="\n") as f:
+        data = f.read()
     if data.endswith("\n"):
         data = data[:-1]
     for lineno, line in enumerate(data.split("\n") if data else [], start=1):

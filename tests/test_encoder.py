@@ -1,10 +1,19 @@
 """Encoder tests: shapes, determinism, masking, and the scalar-loop oracle."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hapstack
 from hapstack.encoder import (
     EncoderConfig,
+    _erf,
+    _gelu,
     bert_base_config,
     count_parameters,
     forward,
@@ -141,7 +150,7 @@ class TestForwardBatch:
     def test_outputs_are_views_of_the_batch(self, tiny_config):
         w = init_random(tiny_config, 0)
         for out in forward_batch([make_seq([2, 9, 3]), make_seq([2, 8, 3])], w, tiny_config):
-            for array in (out.logits, out.final_hidden, *out.attentions):
+            for array in (out.logits, *out.attentions):
                 assert not array.flags.owndata
 
     def test_inconsistent_lengths(self, tiny_config):
@@ -163,10 +172,57 @@ class TestOracle:
             mask = [1] * length + [0] * n_pad
             ids = ids + [0] * n_pad
             out = forward(make_seq(ids, mask), weights, config)
-            ref_logits, ref_attn, ref_hidden = reference_forward(ids, mask, weights, config)
+            ref_logits, ref_attn, _ = reference_forward(ids, mask, weights, config)
             np.testing.assert_allclose(out.logits, ref_logits, atol=1e-5)
-            np.testing.assert_allclose(out.final_hidden, ref_hidden, atol=1e-4)
             np.testing.assert_allclose(out.attentions[-1], ref_attn[-1], atol=1e-5)
+
+
+class TestGelu:
+    # Dense float32 grid over [-10, 10], with 0 and the erf clip points +-4.
+    GRID = np.concatenate([np.linspace(-10.0, 10.0, 200_001, dtype=np.float32),
+                           np.float32([0.0, 4.0, -4.0])])
+
+    def test_erf_matches_math_erf(self):
+        expected = [math.erf(v) for v in self.GRID.tolist()]
+        got = _erf(self.GRID)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+
+    def test_gelu_matches_exact_form(self):
+        expected = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in self.GRID.tolist()]
+        got = _gelu(self.GRID)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, expected, rtol=0, atol=2e-6)
+
+    def test_gelu_leaves_its_input_alone(self):
+        x = self.GRID.copy()
+        _gelu(x)
+        np.testing.assert_array_equal(x, self.GRID)
+
+
+def test_scoring_does_not_import_scipy():
+    code = (
+        "import sys\n"
+        "import hapstack\n"
+        "from hapstack.encoder import EncoderConfig, init_random\n"
+        "from hapstack.model_io import LoadedModel\n"
+        "from hapstack.pipeline import score_sentences\n"
+        "from hapstack.wordpiece import build_ascii_vocab\n"
+        "vocab = build_ascii_vocab(256)\n"
+        "config = EncoderConfig(num_layers=1, num_heads=2, hidden_size=8,\n"
+        "                       intermediate_size=16, vocab_size=len(vocab))\n"
+        "model = LoadedModel(config, init_random(config, 0), vocab)\n"
+        "(score,) = score_sentences(['a short sentence.'], model, batch_size=8)\n"
+        "assert abs(score.hap + score.non_hap - 1.0) < 1e-6\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(hapstack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 class TestCountParameters:

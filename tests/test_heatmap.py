@@ -13,11 +13,9 @@ from conftest import random_words
 def synthetic_output(attention, num_layers=1):
     """ForwardOutput carrying a hand-built final-layer attention [heads,T,T]."""
     attention = np.asarray(attention, dtype=np.float32)
-    t = attention.shape[-1]
     return ForwardOutput(
         logits=np.zeros(2, dtype=np.float32),
         attentions=[attention] * num_layers,
-        final_hidden=np.zeros((t, 4), dtype=np.float32),
     )
 
 

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from hapstack.encoder import EncoderConfig, init_random
+from hapstack.encoder import EncoderConfig, init_random, named_tensors
 from hapstack.model_io import (
     MAGIC,
     BadMagicError,
@@ -56,6 +56,18 @@ def test_round_trip_bitwise(tmp_path):
     assert loaded.config == config
     assert loaded.vocab.tokens == vocab.tokens
     assert_weights_equal(weights, loaded.weights)
+
+
+def test_loaded_tensors_are_aligned_writable_float32(tmp_path):
+    # The payload starts at an arbitrary byte offset; tensors must not be
+    # unaligned views of it (numpy's matmul is many times slower on those).
+    vocab = Vocabulary(TINY_TOKENS)
+    config = small_config(len(vocab))
+    path = tmp_path / "model.hap"
+    save_bundle(config, init_random(config, 7), vocab, path)
+    for name, arr in named_tensors(load_bundle(path).weights, config).items():
+        assert arr.dtype == np.float32, name
+        assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable, name
 
 
 def test_saves_are_byte_identical(tmp_path):

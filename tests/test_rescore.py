@@ -132,6 +132,12 @@ class TestBeamFiles:
         assert hyps[0].non_hap == 0.02
         assert hyps[1].non_hap == 0.99
 
+    def test_only_lf_ends_a_line(self, tmp_path):
+        path = tmp_path / "beam.tsv"
+        path.write_bytes(b"-1.0\tgood\rline\n-2.0\tother\n")
+        hyps = read_beam_file(path)
+        assert [h.text for h in hyps] == ["good\rline", "other"]
+
     def test_reject_wrong_field_count(self, tmp_path):
         path = tmp_path / "beam.tsv"
         path.write_text("just text\n", encoding="utf-8")
