@@ -22,7 +22,6 @@ from .encoder import (
     ModelWeights,
     bert_base_config,
     count_parameters,
-    forward,
     forward_batch,
     init_random,
     piccolo_config,

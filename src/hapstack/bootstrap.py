@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .model_io import LoadedModel
 from .pipeline import HapScore, score_sentences
+from .wordpiece import split_lines
 
 logger = logging.getLogger(__name__)
 
@@ -46,9 +47,8 @@ class Lexicon:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """One term per line, UTF-8; blank lines are ignored."""
-    data = Path(path).read_bytes().decode("utf-8")
-    terms = tuple(line for line in data.split("\n") if line)
-    return Lexicon(terms=terms)
+    lines = split_lines(Path(path).read_bytes().decode("utf-8"))
+    return Lexicon(terms=tuple(line for line in lines if line))
 
 
 @dataclass

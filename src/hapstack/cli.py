@@ -30,6 +30,20 @@ class CommandError(Exception):
         self.code = code
 
 
+def _in_range(kind: type, low: float, high: float = float("inf")):
+    """An argparse ``type``: a ``kind`` in [low, high], else a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"{text} is not in [{low}, {high}]")
+        return value
+    parse.__name__ = kind.__name__  # argparse then reports "invalid int value"
+    return parse
+
+
+POSITIVE_INT, PROBABILITY = _in_range(int, 1), _in_range(float, 0.0, 1.0)
+
+
 def _parse_config_spec(spec: str) -> EncoderConfig:
     """Parse 'layers,heads,hidden,intermediate,vocab,positions'."""
     parts = spec.split(",")
@@ -45,16 +59,11 @@ def _parse_config_spec(spec: str) -> EncoderConfig:
         raise CommandError(f"invalid --config {spec!r}: {exc}", USAGE_ERROR) from exc
 
 
-def _resolve_model_path(args: argparse.Namespace) -> str:
+def _load_model(args: argparse.Namespace) -> LoadedModel:
     path = args.model or os.environ.get("HAPSTACK_MODEL")
     if not path:
         raise CommandError("no model given: pass --model or set HAPSTACK_MODEL",
                            USAGE_ERROR)
-    return path
-
-
-def _load_model(args: argparse.Namespace) -> LoadedModel:
-    path = _resolve_model_path(args)
     try:
         return model_io.load_bundle(path)
     except (OSError, model_io.BundleError, ValueError) as exc:
@@ -63,14 +72,8 @@ def _load_model(args: argparse.Namespace) -> LoadedModel:
 
 def _read_input_lines(args: argparse.Namespace) -> list[str]:
     if args.input:
-        # newline="\n": only LF ends a line, as on stdin and in `filter`
-        with open(args.input, encoding="utf-8", newline="\n") as f:
-            data = f.read()
-    else:
-        data = sys.stdin.read()
-    if data.endswith("\n"):
-        data = data[:-1]
-    return data.split("\n") if data else []
+        return wordpiece.split_lines(Path(args.input).read_bytes().decode("utf-8"))
+    return wordpiece.split_lines(sys.stdin.read())
 
 
 def _write_lines(args: argparse.Namespace, lines: list[str]) -> None:
@@ -98,8 +101,6 @@ def cmd_filter(args: argparse.Namespace) -> int:
         max_length=args.max_length,
         hap_threshold=args.threshold,
         max_flagged_fraction=args.max_flagged_fraction,
-        workers=args.workers,
-        dynamic_batching=args.dynamic_batching,
         token_budget=args.token_budget,
     )
     summary = pipeline.run_corpus(args.input, args.output, model, run_config)
@@ -206,9 +207,9 @@ def cmd_init_random(args: argparse.Namespace) -> int:
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", "-m", help="model bundle path "
                         "(falls back to $HAPSTACK_MODEL)")
-    parser.add_argument("--batch-size", type=int, default=32,
+    parser.add_argument("--batch-size", type=POSITIVE_INT, default=32,
                         help="most sentences per encoder call (default 32)")
-    parser.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
+    parser.add_argument("--max-length", type=_in_range(int, 2), default=DEFAULT_MAX_LENGTH)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,11 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--input", required=True, help="corpus file: <id>\\t<text>")
     p.add_argument("--output", required=True, help="decision records file")
-    p.add_argument("--threshold", type=float, default=DEFAULT_HAP_THRESHOLD)
-    p.add_argument("--max-flagged-fraction", type=float, default=0.5)
+    p.add_argument("--threshold", type=PROBABILITY, default=DEFAULT_HAP_THRESHOLD)
+    p.add_argument("--max-flagged-fraction", type=PROBABILITY, default=0.5)
     p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
-    p.add_argument("--token-budget", type=int, default=8192,
+    p.add_argument("--token-budget", type=POSITIVE_INT, default=8192,
                    help="most padded tokens per encoder call; a longer single "
                    "sentence runs alone (default 8192)")
     p.set_defaults(func=cmd_filter)
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="beam file: <original_score>\\t<text>[\\t<non_hap>]")
     p.add_argument("--output", help="output file (default stdout)")
-    p.add_argument("--lambda", dest="rescore_lambda", type=float, default=1.0,
+    p.add_argument("--lambda", dest="rescore_lambda", type=_in_range(float, 0.0), default=1.0,
                    help="weight on the non-HAP score (default 1.0)")
     p.set_defaults(func=cmd_rescore)
 
@@ -270,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mine", action="store_true",
                    help="mine high-confidence positives with the model instead")
-    p.add_argument("--min-hap", type=float, default=0.5)
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--min-hap", type=PROBABILITY, default=0.5)
+    p.add_argument("--limit", type=_in_range(int, 0), default=100)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bench", help="latency/throughput comparison of two architectures")
@@ -280,13 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="layers,heads,hidden,intermediate,vocab,positions")
     p.add_argument("--config-b", required=True, help="second architecture, same format")
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--seq-len", type=int, default=32)
+    p.add_argument("--seeds", type=POSITIVE_INT, default=5)
+    p.add_argument("--seq-len", type=POSITIVE_INT, default=32)
     p.add_argument("--corpus", help="corpus file for throughput mode")
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
-    p.add_argument("--batch-size", type=int, default=32,
-                   help="most sentences per encoder call (default 32)")
-    p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
+    p.add_argument("--batch-size", type=POSITIVE_INT, default=32,
+                   help="most sentences per encoder call in throughput mode (default 32)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -8,12 +8,13 @@ DEFAULT_MAX_LENGTH = 512
 DEFAULT_HAP_THRESHOLD = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Settings of one corpus run. ``batch_size`` and ``token_budget`` are
-    ceilings on a batch's rows and padded tokens (a single sentence longer
-    than ``token_budget`` still runs, alone). ``workers`` and
-    ``dynamic_batching`` are accepted and have no effect."""
+    """Settings of one corpus run, checked once, here (frozen, so they stay
+    checked). ``batch_size`` and ``token_budget`` are ceilings on a batch's
+    rows and padded tokens (a single sentence longer than ``token_budget``
+    still runs, alone). Nothing reads ``workers`` or ``dynamic_batching``;
+    they stay because ``perfbench/workloads.py`` sets them in ``RUN_CONFIGS``."""
 
     batch_size: int = 32
     max_length: int = DEFAULT_MAX_LENGTH
@@ -32,7 +33,5 @@ class RunConfig:
             raise ValueError("hap_threshold must lie in [0, 1]")
         if not 0.0 <= self.max_flagged_fraction <= 1.0:
             raise ValueError("max_flagged_fraction must lie in [0, 1]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.token_budget < 1:
             raise ValueError("token_budget must be >= 1")

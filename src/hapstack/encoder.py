@@ -259,8 +259,9 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
                   config: EncoderConfig) -> list[ForwardOutput]:
     """Run the encoder over a batch of equally padded sequences.
 
-    Per-sequence results match single-sequence ``forward`` within float32
-    matmul noise (<< 1e-5 per logit); pad columns receive zero attention.
+    A sequence's results do not depend on the rest of the batch or on its
+    padding beyond float32 matmul noise (<< 1e-5 per logit); pad columns
+    receive zero attention. Call it with ``[seq]`` to run one sequence.
     Each output's arrays are views into the shared batch arrays.
     """
     if not seqs:
@@ -322,12 +323,6 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
         )
         for b in range(batch)
     ]
-
-
-def forward(seq: TokenizedSequence, weights: ModelWeights,
-            config: EncoderConfig) -> ForwardOutput:
-    """Single-sequence forward pass (batch of one)."""
-    return forward_batch([seq], weights, config)[0]
 
 
 def count_parameters(config: EncoderConfig) -> int:

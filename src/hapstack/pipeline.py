@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .encoder import (EncoderConfig, ModelWeights, count_parameters, forward, forward_batch,
-                      init_random)
+from .encoder import EncoderConfig, ModelWeights, count_parameters, forward_batch, init_random
 from .model_io import LoadedModel
 from .wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence
 
@@ -198,28 +197,33 @@ def decide_from_scores(hap_scores: list[float], hap_threshold: float,
     return fraction, fraction <= max_flagged_fraction
 
 
-def _decision(doc_id: str, sentences: list[str], scores: list[HapScore],
-              hap_threshold: float, max_flagged_fraction: float) -> FilterDecision:
-    """The one place a document's scored sentences become its decision."""
-    if not 0.0 <= hap_threshold <= 1.0 or not 0.0 <= max_flagged_fraction <= 1.0:
-        raise ValueError("thresholds must lie in [0, 1]")
-    fraction, kept = decide_from_scores([s.hap for s in scores],
-                                        hap_threshold, max_flagged_fraction)
-    return FilterDecision(
-        doc_id=doc_id,
-        sentence_scores=list(zip(sentences, scores)),
-        flagged_fraction=fraction,
-        kept=kept,
-    )
+def _decide_window(window: list[tuple[Document, list[str]]], model: LoadedModel,
+                   run_config: RunConfig) -> list[FilterDecision]:
+    """Score a window's sentences as one set and decide each document, in
+    window order: the one place scored sentences become decisions."""
+    scores = iter(score_sentences(
+        [sentence for _, sentences in window for sentence in sentences], model,
+        run_config.batch_size, max_length=run_config.max_length,
+        token_budget=run_config.token_budget))
+    decisions = []
+    for doc, sentences in window:
+        doc_scores = list(islice(scores, len(sentences)))
+        fraction, kept = decide_from_scores([s.hap for s in doc_scores],
+                                            run_config.hap_threshold,
+                                            run_config.max_flagged_fraction)
+        decisions.append(FilterDecision(doc.id, list(zip(sentences, doc_scores)),
+                                        fraction, kept))
+    return decisions
 
 
 def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
                     max_flagged_fraction: float, batch_size: int = 32,
                     max_length: int = 512, token_budget: int = 8192) -> FilterDecision:
-    sentences = split_sentences(doc.text)
-    scores = score_sentences(sentences, model, batch_size, max_length=max_length,
-                             token_budget=token_budget)
-    return _decision(doc.id, sentences, scores, hap_threshold, max_flagged_fraction)
+    """Decide one document as a window of one; ``RunConfig`` checks the settings."""
+    run_config = RunConfig(batch_size=batch_size, max_length=max_length,
+                           hap_threshold=hap_threshold, max_flagged_fraction=max_flagged_fraction,
+                           token_budget=token_budget)
+    return _decide_window([(doc, split_sentences(doc.text))], model, run_config)[0]
 
 
 def unescape_text(text: str) -> str:
@@ -238,27 +242,14 @@ def _parse_corpus_line(line: str) -> Document | None:
     return Document(id=line[:tab], text=unescape_text(line[tab + 1:]))
 
 
-def format_decision(decision: FilterDecision) -> str:
-    joined = ",".join(f"{score.hap:.6f}" for _, score in decision.sentence_scores)
-    return (f"{decision.doc_id}\t{int(decision.kept)}\t"
-            f"{decision.flagged_fraction:.6f}\t{joined}")
-
-
 def _write_window(window: list[tuple[Document, list[str]]], out, model: LoadedModel,
                   run_config: RunConfig) -> int:
-    """Score a window's sentences as one set, write its decisions in input
-    order and return how many documents were kept."""
-    scores = iter(score_sentences(
-        [sentence for _, sentences in window for sentence in sentences], model,
-        run_config.batch_size, max_length=run_config.max_length,
-        token_budget=run_config.token_budget))
-    kept = 0
-    for doc, sentences in window:
-        decision = _decision(doc.id, sentences, list(islice(scores, len(sentences))),
-                             run_config.hap_threshold, run_config.max_flagged_fraction)
-        out.write(format_decision(decision) + "\n")
-        kept += decision.kept
-    return kept
+    """Write a window's decision records in input order; return the kept count."""
+    decisions = _decide_window(window, model, run_config)
+    for d in decisions:
+        joined = ",".join(f"{score.hap:.6f}" for _, score in d.sentence_scores)
+        out.write(f"{d.doc_id}\t{int(d.kept)}\t{d.flagged_fraction:.6f}\t{joined}\n")
+    return sum(d.kept for d in decisions)
 
 
 def run_corpus(input_path: str | Path, output_path: str | Path,
@@ -327,7 +318,7 @@ def _latency_case(config: EncoderConfig, seed: int,
     length = min(seq_len, config.max_positions)
     ids = np.random.default_rng(seed + 1).integers(0, config.vocab_size, size=length)
     seq = TokenizedSequence(ids=ids.tolist(), attention_mask=[1] * length,
-                            word_spans=[], original_text="", pieces=[], words=[])
+                            word_spans=[], pieces=[], words=[])
     return seq, init_random(config, seed)
 
 
@@ -360,13 +351,13 @@ def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
         cases = [_latency_case(config, seed, seq_len) for config in configs]
         for (seq, weights), config in zip(cases, configs):
             for _ in range(BENCH_WARMUP_RUNS):
-                forward(seq, weights, config)
+                forward_batch([seq], weights, config)
         times: tuple[list[float], list[float]] = ([], [])
         for run in range(n_runs):
             for side in ((0, 1) if run % 2 == 0 else (1, 0)):
                 seq, weights = cases[side]
                 t0 = time.perf_counter()
-                forward(seq, weights, configs[side])
+                forward_batch([seq], weights, configs[side])
                 times[side].append(time.perf_counter() - t0)
         for side in (0, 1):
             seed_medians[side].append(statistics.median(times[side]))

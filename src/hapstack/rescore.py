@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .model_io import LoadedModel
 from .pipeline import score_sentences
+from .wordpiece import split_lines
 
 
 @dataclass
@@ -56,12 +57,8 @@ def rescore_beam(hypotheses: list[Hypothesis], model: LoadedModel | None = None,
 def read_beam_file(path: str | Path) -> list[Hypothesis]:
     """Parse ``<original_score><TAB><text>[<TAB><non_hap>]`` lines."""
     hypotheses = []
-    # newline="\n": only LF ends a line, as in every other input
-    with open(path, encoding="utf-8", newline="\n") as f:
-        data = f.read()
-    if data.endswith("\n"):
-        data = data[:-1]
-    for lineno, line in enumerate(data.split("\n") if data else [], start=1):
+    lines = split_lines(Path(path).read_bytes().decode("utf-8"))
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise ValueError(f"beam line {lineno} has {len(parts)} fields, expected 2 or 3")

@@ -42,7 +42,6 @@ class Vocabulary:
     """Ordered token list; a token's id is its position in the list."""
 
     tokens: tuple[str, ...]
-    continuation_prefix: str = CONTINUATION_PREFIX
     token_to_id: dict[str, int] = field(init=False, repr=False)
     pad_id: int = field(init=False)
     unk_id: int = field(init=False)
@@ -78,15 +77,14 @@ class TokenizedSequence:
 
     ``word_spans`` holds ``(word_index, first_piece, piece_count)`` triples
     covering exactly the non-special, non-pad positions of ``ids``; the
-    indices refer into ``words``, the pre-tokenized words of
-    ``original_text``. ``pieces`` mirrors ``ids`` as token strings so
-    downstream rendering never needs the vocabulary again.
+    indices refer into ``words``, the pre-tokenized words of the encoded
+    text. ``pieces`` mirrors ``ids`` as token strings so downstream
+    rendering never needs the vocabulary again.
     """
 
     ids: list[int]
     attention_mask: list[int]
     word_spans: list[tuple[int, int, int]]
-    original_text: str
     pieces: list[str]
     words: list[str]
 
@@ -121,17 +119,19 @@ def pre_tokenize(text: str) -> list[str]:
     return words
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines of ``text``: only LF ends a line, and one final LF is dropped."""
+    text = text.removesuffix("\n")
+    return text.split("\n") if text else []
+
+
 def load_vocab(path: str | Path) -> Vocabulary:
     """Load a one-token-per-line vocabulary file (id = 0-based line number).
 
-    The file is read bit-exactly: only the final trailing LF is dropped,
-    tokens keep any other surrounding characters.
+    The file is read bit-exactly (see ``split_lines``): tokens keep any
+    surrounding characters.
     """
-    data = Path(path).read_bytes().decode("utf-8")
-    if data.endswith("\n"):
-        data = data[:-1]
-    tokens = data.split("\n") if data else []
-    return Vocabulary(tuple(tokens))
+    return Vocabulary(tuple(split_lines(Path(path).read_bytes().decode("utf-8"))))
 
 
 def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
@@ -152,7 +152,7 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
         while start < end:
             piece = word[start:end]
             if start > 0:
-                piece = vocab.continuation_prefix + piece
+                piece = CONTINUATION_PREFIX + piece
             token_id = vocab.token_to_id.get(piece)
             if token_id is not None:
                 match = token_id
@@ -165,8 +165,8 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
     return ids
 
 
-def encode(text: str, vocab: Vocabulary, max_length: int, pad_to_max: bool,
-           lowercase: bool = False) -> TokenizedSequence:
+def encode(text: str, vocab: Vocabulary, max_length: int,
+           pad_to_max: bool) -> TokenizedSequence:
     """Tokenize ``text`` into a [CLS] ... [SEP] id sequence.
 
     Pieces beyond ``max_length - 2`` are truncated; when ``pad_to_max``
@@ -182,7 +182,7 @@ def encode(text: str, vocab: Vocabulary, max_length: int, pad_to_max: bool,
     for word_index, word in enumerate(words):
         if used >= budget:
             break
-        piece_ids = tokenize_word(word.lower() if lowercase else word, vocab)
+        piece_ids = tokenize_word(word, vocab)
         take = min(len(piece_ids), budget - used)
         if take > 0:
             spans.append((word_index, 1 + used, take))
@@ -198,7 +198,6 @@ def encode(text: str, vocab: Vocabulary, max_length: int, pad_to_max: bool,
         ids=ids,
         attention_mask=mask,
         word_spans=spans,
-        original_text=text,
         pieces=vocab.decode(ids),
         words=words,
     )
@@ -213,7 +212,6 @@ def pad_sequence(seq: TokenizedSequence, target_length: int, vocab: Vocabulary) 
         ids=seq.ids + [vocab.pad_id] * pad,
         attention_mask=seq.attention_mask + [0] * pad,
         word_spans=list(seq.word_spans),
-        original_text=seq.original_text,
         pieces=seq.pieces + [PAD_TOKEN] * pad,
         words=list(seq.words),
     )

@@ -18,7 +18,6 @@ from hapstack.encoder import (
     EncoderConfig,
     bert_base_config,
     count_parameters,
-    forward,
     forward_batch,
     init_random,
     piccolo_config,
@@ -63,7 +62,7 @@ def random_sequence(rng, config, min_len=2, max_len=12, pad_tail=True):
     from hapstack.wordpiece import TokenizedSequence
     return TokenizedSequence(ids=ids + [0] * n_pad,
                              attention_mask=[1] * length + [0] * n_pad,
-                             word_spans=[], original_text="", pieces=[], words=[])
+                             word_spans=[], pieces=[], words=[])
 
 
 @criterion(1, "oracle equivalence: vectorized forward matches scalar-loop reference")
@@ -74,7 +73,7 @@ def test_criterion_01_oracle_equivalence():
         weights = init_random(ORACLE_CONFIG, seed)
         for _ in range(5):
             seq = random_sequence(rng, ORACLE_CONFIG, min_len=2, max_len=8)
-            out = forward(seq, weights, ORACLE_CONFIG)
+            out = forward_batch([seq], weights, ORACLE_CONFIG)[0]
             ref_logits, _, _ = reference_forward(seq.ids, seq.attention_mask,
                                                  weights, ORACLE_CONFIG)
             np.testing.assert_allclose(out.logits, ref_logits, atol=1e-5)
@@ -88,7 +87,7 @@ def test_criterion_02_attention_normalization():
     weights = init_random(ORACLE_CONFIG, 0)
     for _ in range(100):
         seq = random_sequence(rng, ORACLE_CONFIG)
-        out = forward(seq, weights, ORACLE_CONFIG)
+        out = forward_batch([seq], weights, ORACLE_CONFIG)[0]
         real = seq.length
         for layer in out.attentions:
             np.testing.assert_allclose(layer.sum(axis=-1), 1.0, atol=1e-6)
@@ -203,15 +202,15 @@ def test_criterion_10_heatmap(tiny_model):
     config, weights, vocab = tiny_model
     from hapstack.wordpiece import TokenizedSequence
     one = TokenizedSequence(ids=[vocab.cls_id], attention_mask=[1], word_spans=[],
-                            original_text="", pieces=["[CLS]"], words=[])
-    hm = compute_heatmap(forward(one, weights, config), one)
+                            pieces=["[CLS]"], words=[])
+    hm = compute_heatmap(forward_batch([one], weights, config)[0], one)
     np.testing.assert_array_equal(hm.matrix, [[1.0]])
 
     rng = np.random.default_rng(29)
     for _ in range(100):
         seq = encode(random_words(rng, int(rng.integers(1, 8))), vocab, 32,
                      pad_to_max=False)
-        heat = compute_heatmap(forward(seq, weights, config), seq)
+        heat = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
         mass = (sum(w for _, w in heat.word_attributions)
                 + sum(w for _, w in heat.special_attributions))
         assert abs(mass - 1.0) <= 1e-6
@@ -223,7 +222,7 @@ def test_criterion_10_heatmap(tiny_model):
     batched = [compute_heatmap(o, s)
                for o, s in zip(forward_batch(padded, weights, config), padded)]
     for seq, hm_batched in zip(seqs, batched):
-        hm_single = compute_heatmap(forward(seq, weights, config), seq)
+        hm_single = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
         np.testing.assert_allclose(hm_batched.matrix, hm_single.matrix, atol=1e-6)
 
 

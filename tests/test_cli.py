@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from hapstack import model_io
 from hapstack.cli import main
 from hapstack.wordpiece import build_ascii_vocab
 
@@ -291,6 +292,44 @@ class TestBench:
         code = main(["bench", "--mode", "throughput", "--config", TINY_SPEC,
                      "--config-b", TINY_SPEC])
         assert code == 2
+
+
+FILTER_FILES = ["--input", "in.tsv", "--output", "out.tsv"]
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        (["score"], "--max-length", "1"),
+        (["score"], "--batch-size", "0"),
+        (["filter", *FILTER_FILES], "--threshold", "2"),
+        (["filter", *FILTER_FILES], "--max-flagged-fraction", "-0.5"),
+        (["filter", *FILTER_FILES], "--token-budget", "0"),
+        (["sample", "--mine"], "--min-hap", "2"),
+        (["sample", "--mine"], "--limit", "-1"),
+        (["rescore", "--input", "beam.tsv"], "--lambda", "-1"),
+        (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--seeds", "0"),
+        (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--seq-len", "0"),
+        (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--batch-size", "0"),
+    ], ids=lambda arg: arg[0] if isinstance(arg, list) else arg)
+    def test_usage_error_before_the_model_loads(self, command, flag, value, bundle,
+                                                monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(model_io, "load_bundle", loads.append)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        monkeypatch.setenv("HAPSTACK_MODEL", str(bundle))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert loads == []
+        assert captured.out == ""
+        assert f"argument {flag}: {value} is not in [" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_bounds_are_inclusive(self, bundle, monkeypatch, capsys):
+        code, captured = run_cli(["score", "--model", str(bundle), "--max-length", "2",
+                                  "--batch-size", "1"], "a b c.\n", monkeypatch, capsys)
+        assert code == 0 and len(captured.out.splitlines()) == 1
 
 
 class TestEndToEnd:

@@ -16,7 +16,6 @@ from hapstack.encoder import (
     _gelu,
     bert_base_config,
     count_parameters,
-    forward,
     forward_batch,
     init_random,
     piccolo_config,
@@ -30,7 +29,7 @@ from reference_forward import reference_forward
 def make_seq(ids, mask=None):
     return TokenizedSequence(ids=list(ids),
                              attention_mask=list(mask) if mask else [1] * len(ids),
-                             word_spans=[], original_text="", pieces=[], words=[])
+                             word_spans=[], pieces=[], words=[])
 
 
 class TestInitRandom:
@@ -67,47 +66,48 @@ class TestInitRandom:
 class TestForward:
     def test_single_token_attention_is_one(self, tiny_config):
         w = init_random(tiny_config, 0)
-        out = forward(make_seq([2]), w, tiny_config)
+        out = forward_batch([make_seq([2])], w, tiny_config)[0]
         for layer in out.attentions:
             np.testing.assert_array_equal(layer, np.ones((2, 1, 1), dtype=np.float32))
 
     def test_pad_columns_get_zero_attention(self, tiny_config):
         w = init_random(tiny_config, 0)
         seq = make_seq([2, 5, 6, 3, 0, 0], [1, 1, 1, 1, 0, 0])
-        out = forward(seq, w, tiny_config)
+        out = forward_batch([seq], w, tiny_config)[0]
         for layer in out.attentions:
             assert np.abs(layer[:, :, 4:]).max() <= 1e-7
 
     def test_rows_sum_to_one(self, tiny_config):
         w = init_random(tiny_config, 0)
         seq = make_seq([2, 5, 6, 7, 3, 0], [1, 1, 1, 1, 1, 0])
-        out = forward(seq, w, tiny_config)
+        out = forward_batch([seq], w, tiny_config)[0]
         for layer in out.attentions:
             np.testing.assert_allclose(layer.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_id_out_of_range(self, tiny_config):
         w = init_random(tiny_config, 0)
         with pytest.raises(ValueError):
-            forward(make_seq([tiny_config.vocab_size]), w, tiny_config)
+            forward_batch([make_seq([tiny_config.vocab_size])], w, tiny_config)
 
     def test_too_long(self, tiny_config):
         w = init_random(tiny_config, 0)
         with pytest.raises(ValueError):
-            forward(make_seq([2] * (tiny_config.max_positions + 1)), w, tiny_config)
+            forward_batch([make_seq([2] * (tiny_config.max_positions + 1))], w, tiny_config)
 
     def test_deterministic_logits(self, tiny_config):
         w = init_random(tiny_config, 0)
         seq = make_seq([2, 9, 8, 3])
-        first = forward(seq, w, tiny_config).logits
-        second = forward(seq, w, tiny_config).logits
+        first = forward_batch([seq], w, tiny_config)[0].logits
+        second = forward_batch([seq], w, tiny_config)[0].logits
         np.testing.assert_array_equal(first, second)
 
     def test_pad_invisibility(self, tiny_config, ascii_vocab):
         w = init_random(tiny_config, 0)
         seq = encode("some words here.", ascii_vocab, 32, pad_to_max=False)
-        base = forward(seq, w, tiny_config).logits
+        base = forward_batch([seq], w, tiny_config)[0].logits
         padded = pad_sequence(seq, 24, ascii_vocab)
-        np.testing.assert_allclose(forward(padded, w, tiny_config).logits, base, atol=1e-5)
+        np.testing.assert_allclose(forward_batch([padded], w, tiny_config)[0].logits, base,
+                                   atol=1e-5)
 
     def test_permutation_sensitivity(self):
         # At width-8 toy scale attention is near-uniform and a token swap is
@@ -120,8 +120,8 @@ class TestForward:
             if ids[1] == ids[2]:
                 continue
             swapped = [ids[0], ids[2], ids[1]] + ids[3:]
-            a = forward(make_seq(ids), w, config).logits
-            b = forward(make_seq(swapped), w, config).logits
+            a = forward_batch([make_seq(ids)], w, config)[0].logits
+            b = forward_batch([make_seq(swapped)], w, config)[0].logits
             if np.abs(a - b).max() > 1e-3:
                 return
         pytest.fail("no random token swap moved the logits; positions look inert")
@@ -129,11 +129,15 @@ class TestForward:
 
 class TestForwardBatch:
     def test_batch_of_one_equals_forward(self, tiny_config):
+        # The batch of one is the single-sequence call form: it must agree
+        # with the same sequence's row in a larger batch.
         w = init_random(tiny_config, 0)
         seq = make_seq([2, 9, 8, 3])
-        single = forward(seq, w, tiny_config)
-        batched = forward_batch([seq], w, tiny_config)[0]
-        np.testing.assert_array_equal(single.logits, batched.logits)
+        single = forward_batch([seq], w, tiny_config)[0]
+        batched = forward_batch([make_seq([2, 5, 6, 3]), seq], w, tiny_config)[1]
+        assert single.logits.shape == (tiny_config.num_labels,)
+        assert len(single.attentions) == tiny_config.num_layers
+        np.testing.assert_allclose(single.logits, batched.logits, atol=1e-5)
 
     def test_mixed_padding_matches_unbatched(self, tiny_config, ascii_vocab):
         w = init_random(tiny_config, 0)
@@ -141,8 +145,8 @@ class TestForwardBatch:
         b = encode("abc def gh", ascii_vocab, 8, pad_to_max=True)   # fills 8
         outs = forward_batch([a, b], w, tiny_config)
         for seq, out in zip([a, b], outs):
-            np.testing.assert_allclose(out.logits, forward(seq, w, tiny_config).logits,
-                                       atol=1e-5)
+            alone = forward_batch([seq], w, tiny_config)[0]
+            np.testing.assert_allclose(out.logits, alone.logits, atol=1e-5)
 
     def test_empty_batch(self, tiny_config):
         assert forward_batch([], init_random(tiny_config, 0), tiny_config) == []
@@ -171,7 +175,7 @@ class TestOracle:
             n_pad = int(rng.integers(0, 3))
             mask = [1] * length + [0] * n_pad
             ids = ids + [0] * n_pad
-            out = forward(make_seq(ids, mask), weights, config)
+            out = forward_batch([make_seq(ids, mask)], weights, config)[0]
             ref_logits, ref_attn, _ = reference_forward(ids, mask, weights, config)
             np.testing.assert_allclose(out.logits, ref_logits, atol=1e-5)
             np.testing.assert_allclose(out.attentions[-1], ref_attn[-1], atol=1e-5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hapstack.encoder import ForwardOutput, forward, forward_batch, init_random
+from hapstack.encoder import ForwardOutput, forward_batch, init_random
 from hapstack.heatmap import compute_heatmap, render_heatmap
 from hapstack.wordpiece import TokenizedSequence, encode, pad_sequence
 
@@ -21,7 +21,7 @@ def synthetic_output(attention, num_layers=1):
 
 def test_single_token_heatmap():
     seq = TokenizedSequence(ids=[2], attention_mask=[1], word_spans=[],
-                            original_text="", pieces=["[CLS]"], words=[])
+                            pieces=["[CLS]"], words=[])
     hm = compute_heatmap(synthetic_output(np.ones((2, 1, 1))), seq)
     np.testing.assert_array_equal(hm.matrix, [[1.0]])
     np.testing.assert_array_equal(hm.cls_row, [1.0])
@@ -31,7 +31,7 @@ def test_single_token_heatmap():
 def test_uniform_attention_cls_row():
     attention = np.full((3, 4, 4), 0.25)
     seq = TokenizedSequence(ids=[2, 9, 9, 3], attention_mask=[1, 1, 1, 1],
-                            word_spans=[(0, 1, 2)], original_text="xy",
+                            word_spans=[(0, 1, 2)],
                             pieces=["[CLS]", "x", "##y", "[SEP]"], words=["xy"])
     hm = compute_heatmap(synthetic_output(attention), seq)
     np.testing.assert_allclose(hm.cls_row, [0.25, 0.25, 0.25, 0.25])
@@ -43,7 +43,7 @@ def test_word_attribution_sums_piece_weights():
     attention[:, 0, :] = [0.6, 0.1, 0.2, 0.1, 0.0]
     attention[:, 1:, 0] = 1.0
     seq = TokenizedSequence(ids=[2, 9, 9, 9, 3], attention_mask=[1] * 5,
-                            word_spans=[(0, 1, 3)], original_text="abc",
+                            word_spans=[(0, 1, 3)],
                             pieces=["[CLS]", "a", "##b", "##c", "[SEP]"], words=["abc"])
     hm = compute_heatmap(synthetic_output(attention), seq)
     assert hm.word_attributions == [("abc", pytest.approx(0.4, abs=1e-6))]
@@ -54,7 +54,7 @@ def test_word_attribution_sums_piece_weights():
 def test_cls_row_is_matrix_row_zero(tiny_model):
     config, weights, vocab = tiny_model
     seq = encode("some short words.", vocab, 32, pad_to_max=False)
-    hm = compute_heatmap(forward(seq, weights, config), seq)
+    hm = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
     np.testing.assert_array_equal(hm.cls_row, hm.matrix[0])
 
 
@@ -64,7 +64,7 @@ def test_head_mean_preserves_row_stochasticity(tiny_model):
     for _ in range(10):
         seq = encode(random_words(rng, int(rng.integers(1, 6))), vocab, 32,
                      pad_to_max=False)
-        hm = compute_heatmap(forward(seq, weights, config), seq)
+        hm = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
         np.testing.assert_allclose(hm.matrix.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -74,7 +74,7 @@ def test_attribution_mass_conserved(tiny_model):
     for _ in range(10):
         seq = encode(random_words(rng, int(rng.integers(1, 6))), vocab, 32,
                      pad_to_max=False)
-        hm = compute_heatmap(forward(seq, weights, config), seq)
+        hm = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
         total = (sum(w for _, w in hm.word_attributions)
                  + sum(w for _, w in hm.special_attributions))
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -83,7 +83,7 @@ def test_attribution_mass_conserved(tiny_model):
 def test_shape_mismatch_rejected(tiny_model):
     config, weights, vocab = tiny_model
     seq = encode("one two.", vocab, 32, pad_to_max=False)
-    out = forward(seq, weights, config)
+    out = forward_batch([seq], weights, config)[0]
     longer = encode("one two three four.", vocab, 32, pad_to_max=False)
     with pytest.raises(ValueError):
         compute_heatmap(out, longer)
@@ -110,7 +110,8 @@ class TestBatch:
         batched = [compute_heatmap(o, s)
                    for o, s in zip(forward_batch(padded, weights, config), padded)]
         for original, hm in zip([short, long], batched):
-            single = compute_heatmap(forward(original, weights, config), original)
+            single = compute_heatmap(forward_batch([original], weights, config)[0],
+                                     original)
             assert hm.matrix.shape == single.matrix.shape
             np.testing.assert_allclose(hm.matrix, single.matrix, atol=1e-6)
 
@@ -118,28 +119,28 @@ class TestBatch:
 class TestRender:
     def test_one_by_one_grid(self):
         seq = TokenizedSequence(ids=[2], attention_mask=[1], word_spans=[],
-                                original_text="", pieces=["[CLS]"], words=[])
+                                pieces=["[CLS]"], words=[])
         hm = compute_heatmap(synthetic_output(np.ones((1, 1, 1))), seq)
         assert render_heatmap(hm, "text-grid") == "1.0000"
 
     def test_two_by_two_uniform(self):
         attention = np.full((2, 2, 2), 0.5)
         seq = TokenizedSequence(ids=[2, 3], attention_mask=[1, 1], word_spans=[],
-                                original_text="", pieces=["[CLS]", "[SEP]"], words=[])
+                                pieces=["[CLS]", "[SEP]"], words=[])
         hm = compute_heatmap(synthetic_output(attention), seq)
         assert render_heatmap(hm, "text-grid") == "0.5000 0.5000\n0.5000 0.5000"
 
     def test_rendering_is_deterministic(self, tiny_model):
         config, weights, vocab = tiny_model
         seq = encode("fine words butter no parsnips.", vocab, 32, pad_to_max=False)
-        hm = compute_heatmap(forward(seq, weights, config), seq)
+        hm = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
         for fmt in ("text-grid", "key-value-records"):
             assert render_heatmap(hm, fmt) == render_heatmap(hm, fmt)
 
     def test_key_value_records_format(self, tiny_model):
         config, weights, vocab = tiny_model
         seq = encode("aa bb.", vocab, 32, pad_to_max=False)
-        hm = compute_heatmap(forward(seq, weights, config), seq)
+        hm = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
         lines = render_heatmap(hm, "key-value-records").splitlines()
         size = hm.matrix.shape[0]
         att_lines = [l for l in lines if l.startswith("ATT ")]
@@ -154,6 +155,6 @@ class TestRender:
     def test_unknown_format(self, tiny_model):
         config, weights, vocab = tiny_model
         seq = encode("aa.", vocab, 16, pad_to_max=False)
-        hm = compute_heatmap(forward(seq, weights, config), seq)
+        hm = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
         with pytest.raises(ValueError):
             render_heatmap(hm, "png")

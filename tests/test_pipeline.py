@@ -136,7 +136,7 @@ class TestScoreSentences:
 
 def _seqs(lengths):
     return [TokenizedSequence(ids=[1] * n, attention_mask=[1] * n, word_spans=[],
-                              original_text="", pieces=[], words=[]) for n in lengths]
+                              pieces=[], words=[]) for n in lengths]
 
 
 class TestBatchIndices:
@@ -186,6 +186,48 @@ class TestFilterDocument:
         decision = filter_document(Document(id="d1", text="One thing. Two things!"),
                                    tiny_model, 0.5, 1.0)
         assert [s for s, _ in decision.sentence_scores] == ["One thing.", "Two things!"]
+
+    def test_decisions_match_run_corpus_records(self, tiny_model, tmp_path):
+        # filter_document and run_corpus share one decision path: a document
+        # decided alone matches its record from a multi-window corpus run.
+        rng = np.random.default_rng(8)
+        pool = [random_words(rng, int(rng.integers(1, 6))) + "." for _ in range(40)]
+        docs = [(f"doc{i}", " ".join(rng.choice(pool, size=int(rng.integers(0, 6)))))
+                for i in range(40)]
+        scores = score_sentences(pool, tiny_model, batch_size=32)
+        run_config = RunConfig(batch_size=5, hap_threshold=float(np.median(
+            [s.hap for s in scores])), max_flagged_fraction=0.4)
+        src, dst = tmp_path / "in.tsv", tmp_path / "out.tsv"
+        write_corpus(src, docs)
+        with mock.patch.object(pipeline, "WINDOW_SENTENCES", 9):
+            run_corpus(src, dst, tiny_model, run_config)
+        records = [line.split("\t") for line in dst.read_text(encoding="utf-8").splitlines()]
+        assert [record[0] for record in records] == [doc_id for doc_id, _ in docs]
+        for (doc_id, text), (_, kept, fraction, joined) in zip(docs, records):
+            decision = filter_document(Document(doc_id, text), tiny_model,
+                                       run_config.hap_threshold,
+                                       run_config.max_flagged_fraction, batch_size=5)
+            assert int(kept) == decision.kept
+            assert fraction == f"{decision.flagged_fraction:.6f}"
+            haps = [float(h) for h in joined.split(",")] if joined else []
+            assert len(haps) == len(decision.sentence_scores)
+            for hap, (_, score) in zip(haps, decision.sentence_scores):
+                assert abs(hap - score.hap) <= 1e-6
+        assert {kept for _, kept, _, _ in records} == {"0", "1"}
+
+    @pytest.mark.parametrize("setting", [
+        {"hap_threshold": 1.5}, {"hap_threshold": -0.1},
+        {"max_flagged_fraction": 2.0}, {"max_flagged_fraction": float("nan")},
+        {"batch_size": 0},
+    ])
+    def test_out_of_range_settings_raise(self, tiny_model, setting):
+        kwargs = {"hap_threshold": 0.5, "max_flagged_fraction": 0.5, **setting}
+        with pytest.raises(ValueError):
+            filter_document(Document("d", "One. Two."), tiny_model, **kwargs)
+
+    def test_run_config_cannot_be_changed_past_its_check(self):
+        with pytest.raises(AttributeError):
+            RunConfig().hap_threshold = 2.0
 
     def test_empty_doc_id_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from hapstack.wordpiece import (
     load_vocab,
     pad_sequence,
     pre_tokenize,
+    split_lines,
     tokenize_word,
 )
 
@@ -64,6 +65,25 @@ class TestLoadVocab:
         assert vocab.tokens[4] == "word "
 
 
+class TestSplitLines:
+    @pytest.mark.parametrize("text, lines", [
+        ("", []),
+        ("\n", []),
+        ("a", ["a"]),
+        ("a\n", ["a"]),
+        ("a\n\n", ["a", ""]),
+        ("\na\nb", ["", "a", "b"]),
+        ("a\r\nb\rc\n", ["a\r", "b\rc"]),
+    ])
+    def test_only_lf_ends_a_line_and_one_final_lf_is_dropped(self, text, lines):
+        assert split_lines(text) == lines
+
+    @given(st.lists(st.text(alphabet="ab\r\t ", max_size=4), min_size=1, max_size=5))
+    def test_joined_lines_round_trip(self, lines):
+        text = "\n".join(lines)
+        assert split_lines(text + "\n") == (lines if text else [])
+
+
 class TestTokenizeWord:
     def test_greedy_decomposition(self, tiny_vocab):
         assert tokenize_word("shamelessly", tiny_vocab) == [4, 5, 6]
@@ -73,6 +93,7 @@ class TestTokenizeWord:
 
     def test_unk_fallback(self, tiny_vocab):
         assert tokenize_word("xyz", tiny_vocab) == [1]
+        assert encode("BAD", tiny_vocab, 8, pad_to_max=False).ids == [2, 1, 3]  # case-sensitive
 
     def test_partial_match_falls_back_whole(self, tiny_vocab):
         # "shame" matches but "xx" does not, so the whole word is [UNK].
@@ -117,10 +138,6 @@ class TestEncode:
         assert decoded[0] == CLS_TOKEN
         assert decoded[seq.length - 1] == SEP_TOKEN
         assert all(tok == PAD_TOKEN for tok in decoded[seq.length:])
-
-    def test_lowercase_flag(self, tiny_vocab):
-        assert encode("BAD", tiny_vocab, 8, pad_to_max=False).ids == [2, 1, 3]
-        assert encode("BAD", tiny_vocab, 8, pad_to_max=False, lowercase=True).ids == [2, 7, 3]
 
     def test_manual_padding_equals_pad_to_max(self, tiny_vocab):
         unpadded = encode("shamelessly bad", tiny_vocab, 8, pad_to_max=False)
