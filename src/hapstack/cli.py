@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--match-mode", choices=bootstrap.MATCH_MODES,
                    default="word-boundary")
     p.add_argument("--case-fold", action="store_true")
-    p.add_argument("--target-size", type=int,
+    p.add_argument("--target-size", type=_in_range(int, 2),
                    help="draw a balanced sample of this size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mine", action="store_true",
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="layers,heads,hidden,intermediate,vocab,positions")
     p.add_argument("--config-b", required=True, help="second architecture, same format")
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--runs", type=_in_range(int, 10), default=100)
     p.add_argument("--seeds", type=POSITIVE_INT, default=5)
     p.add_argument("--seq-len", type=POSITIVE_INT, default=32)
     p.add_argument("--corpus", help="corpus file for throughput mode")

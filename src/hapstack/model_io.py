@@ -5,14 +5,22 @@ Layout: ``magic(4) | config_len(u32 LE) | config bytes | vocab_len(u32 LE)
 a key-sorted JSON record, the vocab an LF-joined UTF-8 token block, the
 table a name-sorted JSON list of ``[name, rank, dims, offset]`` entries,
 and the payload contiguous little-endian float32 data in table order.
-Identical models always serialize to byte-identical files.
+``_layout`` states that table; the loader accepts no other. Identical
+models always serialize to byte-identical files.
+
+Loading checks every section length against the file size before reading
+it, then the table and the exact file size, all before it allocates a
+tensor; each tensor is then read straight into its own aligned array.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import stat
 import struct
+from itertools import zip_longest
 from math import prod
 from pathlib import Path
 from typing import NamedTuple
@@ -58,9 +66,20 @@ def _check_vocab_size(vocab: Vocabulary, config: EncoderConfig) -> None:
                                  f"config declares vocab_size {config.vocab_size}")
 
 
+def _layout(config: EncoderConfig) -> list[list]:
+    """The tensor table: ``[name, rank, dims, offset]`` entries, name-sorted,
+    each tensor's float32 data directly after the one before it."""
+    table, offset = [], 0
+    for name, shape in sorted(tensor_shapes(config).items()):
+        table.append([name, len(shape), list(shape), offset])
+        offset += 4 * prod(shape)
+    return table
+
+
 def save_bundle(config: EncoderConfig, weights: ModelWeights, vocab: Vocabulary,
                 path: str | Path) -> None:
-    """Write a HAP1 bundle; saving the same model twice is byte-identical."""
+    """Write a HAP1 bundle; saving the same model twice is byte-identical.
+    A model that fails validation leaves ``path`` untouched."""
     _check_vocab_size(vocab, config)
     for token in vocab.tokens:
         if "\n" in token:
@@ -68,112 +87,82 @@ def save_bundle(config: EncoderConfig, weights: ModelWeights, vocab: Vocabulary,
     if len(weights.layers) != config.num_layers:
         raise ShapeMismatchError(f"weights hold {len(weights.layers)} layers, "
                                  f"config declares {config.num_layers}")
-    expected = tensor_shapes(config)
+    table = _layout(config)
     tensors = named_tensors(weights, config)
-    for name in sorted(tensors):
+    for name, _, dims, _ in table:
         arr = np.asarray(tensors[name])
-        if tuple(arr.shape) != expected[name]:
+        if arr.shape != tuple(dims):
             raise ShapeMismatchError(
-                f"tensor {name} has shape {tuple(arr.shape)}, expected {expected[name]}")
+                f"tensor {name} has shape {arr.shape}, expected {tuple(dims)}")
         if not np.isfinite(arr).all():
             raise NonFiniteTensorError(f"tensor {name} contains non-finite values")
 
-    config_bytes = json.dumps(dataclasses.asdict(config), sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-    vocab_bytes = "\n".join(vocab.tokens).encode("utf-8")
-
-    table = []
-    payload_parts = []
-    offset = 0
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-        table.append([name, arr.ndim, list(arr.shape), offset])
-        payload_parts.append(arr.tobytes(order="C"))
-        offset += arr.nbytes
-    table_bytes = json.dumps(table, separators=(",", ":")).encode("utf-8")
-
-    blob = b"".join([
-        MAGIC,
-        struct.pack("<I", len(config_bytes)), config_bytes,
-        struct.pack("<I", len(vocab_bytes)), vocab_bytes,
-        struct.pack("<I", len(table_bytes)), table_bytes,
-        *payload_parts,
-    ])
-    Path(path).write_bytes(blob)
-
-
-def _take(data: bytes, pos: int, count: int, what: str) -> tuple[bytes, int]:
-    if pos + count > len(data):
-        raise TruncatedBundleError(f"bundle truncated while reading {what}")
-    return data[pos:pos + count], pos + count
+    sections = [text.encode("utf-8") for text in (  # encoding may fail, so before open
+        json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":")),
+        "\n".join(vocab.tokens), json.dumps(table, separators=(",", ":")))]
+    with open(path, "wb") as dst:
+        dst.write(MAGIC + b"".join(struct.pack("<I", len(s)) + s for s in sections))
+        for name, _, _, _ in table:
+            dst.write(np.ascontiguousarray(tensors[name], dtype="<f4"))
 
 
 def load_bundle(path: str | Path) -> LoadedModel:
-    """Read and fully validate a HAP1 bundle."""
-    data = Path(path).read_bytes()
-    magic, pos = _take(data, 0, 4, "magic")
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    """Read and fully validate a HAP1 bundle from a regular file."""
+    with open(path, "rb") as src:
+        status = os.fstat(src.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            raise BundleError(f"{path} is not a regular file")
 
-    sections = {}
-    for section in ("config", "vocab", "table"):
-        raw_len, pos = _take(data, pos, 4, f"{section} length")
-        (length,) = struct.unpack("<I", raw_len)
-        sections[section], pos = _take(data, pos, length, section)
-    payload = memoryview(data)[pos:]  # a view: slicing bytes would copy the payload
+        def read(count: int, what: str) -> bytes:
+            if src.tell() + count > status.st_size:
+                raise TruncatedBundleError(f"bundle truncated while reading {what}")
+            return src.read(count)
 
-    try:
-        config = EncoderConfig(**json.loads(sections["config"].decode("utf-8")))
-    except (ValueError, TypeError) as exc:
-        raise BundleError(f"invalid config record: {exc}") from exc
+        magic = read(4, "magic")
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        sections = {}
+        for section in ("config", "vocab", "table"):
+            (length,) = struct.unpack("<I", read(4, f"{section} length"))
+            sections[section] = read(length, section)
 
-    try:
-        vocab_text = sections["vocab"].decode("utf-8")
-        vocab = Vocabulary(tuple(vocab_text.split("\n")) if vocab_text else ())
-    except (UnicodeDecodeError, VocabularyError) as exc:
-        raise BundleError(f"invalid vocab block: {exc}") from exc
-    _check_vocab_size(vocab, config)
+        try:
+            config = EncoderConfig(**json.loads(sections["config"].decode("utf-8")))
+        except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise BundleError(f"invalid config record: {exc}") from exc
 
-    try:
-        table = json.loads(sections["table"].decode("utf-8"))
-        entries = [(str(name), int(rank), tuple(int(d) for d in dims), int(offset))
-                   for name, rank, dims, offset in table]
-    except (ValueError, TypeError) as exc:
-        raise BundleError(f"invalid tensor table: {exc}") from exc
+        try:
+            vocab_text = sections["vocab"].decode("utf-8")
+            vocab = Vocabulary(tuple(vocab_text.split("\n")) if vocab_text else ())
+        except (UnicodeDecodeError, VocabularyError) as exc:
+            raise BundleError(f"invalid vocab block: {exc}") from exc
+        _check_vocab_size(vocab, config)
 
-    expected = tensor_shapes(config)
-    names = [name for name, _, _, _ in entries]
-    if sorted(names) != sorted(expected):
-        raise ShapeMismatchError(
-            f"tensor table names do not match config: got {len(names)} entries, "
-            f"expected {len(expected)}")
+        try:
+            table = json.loads(sections["table"].decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise BundleError(f"invalid tensor table: {exc}") from exc
+        layout = _layout(config)
+        if table != layout:
+            entries = table if isinstance(table, list) else [table]
+            index, got, want = next((i, got, want) for i, (got, want)
+                                    in enumerate(zip_longest(entries, layout)) if got != want)
+            raise ShapeMismatchError(f"tensor table entry {index} is {got}, expected {want}")
 
-    spans = []
-    for name, rank, dims, offset in entries:
-        if dims != expected[name] or rank != len(dims):
-            raise ShapeMismatchError(
-                f"tensor {name} declared {dims} (rank {rank}), expected {expected[name]}")
-        nbytes = 4 * prod(dims)
-        if offset < 0 or offset + nbytes > len(payload):
-            raise TruncatedBundleError(f"tensor {name} extends past end of payload")
-        spans.append((offset, offset + nbytes, name))
-    spans.sort()
-    for (_, prev_end, prev_name), (start, _, name) in zip(spans, spans[1:]):
-        if start < prev_end:
-            raise BundleError(f"tensors {prev_name} and {name} overlap in payload")
-    total = sum(end - start for start, end, _ in spans)
-    if total != len(payload):
-        raise BundleError(f"payload holds {len(payload)} bytes, table declares {total}")
+        _, _, dims, offset = layout[-1]
+        end = src.tell() + offset + 4 * prod(dims)
+        if status.st_size != end:
+            error = TruncatedBundleError if status.st_size < end else BundleError
+            raise error(f"bundle holds {status.st_size} bytes, its table declares {end}")
 
-    tensors: dict[str, np.ndarray] = {}
-    for name, _, dims, offset in entries:
-        # The copy is needed: a view would sit at an unaligned offset, which
-        # makes numpy's matmul many times slower.
-        arr = np.frombuffer(payload, dtype="<f4", count=prod(dims),
-                            offset=offset).reshape(dims).astype(np.float32)
-        if not np.isfinite(arr).all():
-            raise NonFiniteTensorError(f"tensor {name} contains non-finite values")
-        tensors[name] = arr
+        tensors: dict[str, np.ndarray] = {}
+        for name, _, dims, _ in layout:
+            arr = np.empty(dims, dtype="<f4")
+            if src.readinto(arr) != arr.nbytes:
+                raise TruncatedBundleError(f"bundle truncated while reading tensor {name}")
+            if not np.isfinite(arr).all():
+                raise NonFiniteTensorError(f"tensor {name} contains non-finite values")
+            tensors[name] = arr
 
     return LoadedModel(config=config, weights=weights_from_tensors(tensors, config),
                        vocab=vocab)

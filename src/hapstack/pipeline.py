@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import statistics
 import tempfile
 import time
@@ -30,7 +31,8 @@ from .wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequenc
 
 logger = logging.getLogger(__name__)
 
-SENTENCE_TERMINATORS = ".!?"
+# Sentences break at LF and between a terminator and the whitespace after it.
+SENTENCE_BREAK = re.compile(r"\n|(?<=[.!?])(?=\s)")
 BENCH_WARMUP_RUNS = 3
 # bench_throughput repeats A/B/B/A runs until each side has run this long,
 # so a short corpus is timed many times and a long one twice.
@@ -106,20 +108,7 @@ def split_sentences(text: str) -> list[str]:
     """Deterministic splitter: newlines always break; ``. ! ?`` break when
     followed by whitespace or end of line. Terminators stay with their
     sentence and empty fragments are dropped."""
-    sentences: list[str] = []
-    for line in text.split("\n"):
-        buf: list[str] = []
-        for idx, ch in enumerate(line):
-            buf.append(ch)
-            if ch in SENTENCE_TERMINATORS and (idx + 1 == len(line) or line[idx + 1].isspace()):
-                fragment = "".join(buf).strip()
-                if fragment:
-                    sentences.append(fragment)
-                buf = []
-        fragment = "".join(buf).strip()
-        if fragment:
-            sentences.append(fragment)
-    return sentences
+    return [s for s in (part.strip() for part in SENTENCE_BREAK.split(text)) if s]
 
 
 def softmax_pair(logits: np.ndarray) -> HapScore:

@@ -66,16 +66,19 @@ def read_raw_bundle(path):
     return config, tokens, tensors
 
 
-def write_raw_bundle(path, config, tokens, tensors):
+def write_raw_bundle(path, config, tokens, tensors, order=None):
     """Write a HAP1 file from parts, without the library's checks. Tokens are
     encoded with ``surrogateescape``, so a lone surrogate such as ``"\\udcff"``
-    writes the invalid UTF-8 byte 0xff."""
-    table, payload, offset = [], b"", 0
-    for name in sorted(tensors):
+    writes the invalid UTF-8 byte 0xff. The table is name-sorted; the payload
+    holds the tensors in ``order`` (default: name order), which the offsets
+    follow."""
+    entries, payload, offset = {}, b"", 0
+    for name in order or sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-        table.append([name, arr.ndim, list(arr.shape), offset])
+        entries[name] = [name, arr.ndim, list(arr.shape), offset]
         payload += arr.tobytes()
         offset += arr.nbytes
+    table = [entries[name] for name in sorted(entries)]
     sections = [json.dumps(config, sort_keys=True).encode("utf-8"),
                 "\n".join(tokens).encode("utf-8", "surrogateescape"),
                 json.dumps(table).encode("utf-8")]

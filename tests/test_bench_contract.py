@@ -7,16 +7,20 @@ call form that would break the benchmark fails here.
 """
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 from hapstack import pipeline
 from hapstack.config import RunConfig
 from hapstack.encoder import EncoderConfig, init_random
-from hapstack.model_io import LoadedModel
+from hapstack.model_io import LoadedModel, save_bundle
 from hapstack.wordpiece import build_ascii_vocab
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
@@ -69,3 +73,17 @@ def test_explain_and_check_alone_call_forms(tmp_path):
     assert {"tokens", "pieces", "unk", "truncated"} <= set(infos["pipeline.encode"])
     assert {"rows", "t", "flop", "attention_bytes"} <= set(infos["pipeline.forward_batch"])
     assert "heatmap.compute_heatmap" in infos and "heatmap.render_heatmap" in infos
+
+
+def test_setup_probe_times_a_traced_load(tmp_path):
+    # The probe measures the benchmark's setup_s: a fresh process that
+    # imports this checkout's package and loads a bundle through the tracer.
+    bundle = tmp_path / "model.hap"
+    save_bundle(*tiny_model(), bundle)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, str(BENCH / "probe.py"), str(bundle), "--trace"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    record = json.loads(done.stdout.strip().splitlines()[-1])
+    assert record["load_s"] > 0
+    assert Path(record["module"]).resolve().is_relative_to(ROOT / "src")

@@ -84,7 +84,7 @@ class TestScore:
         assert code == 2
 
     @pytest.mark.parametrize("defect", ["vocab_size", "float_layers", "three_labels",
-                                        "duplicate_token", "invalid_utf8"])
+                                        "duplicate_token", "invalid_utf8", "truncated"])
     def test_inconsistent_model_exits_2_at_load(self, tmp_path, monkeypatch, capsys, defect):
         path = tmp_path / "model.hap"
         assert main(["init-random", "--config", "2,2,8,16,64,64", "--output", str(path)]) == 0
@@ -97,11 +97,13 @@ class TestScore:
             tokens = tokens[:-1] + ["\udcff"]
         elif defect == "float_layers":
             config["num_layers"] = 2.0
-        else:
+        elif defect == "three_labels":
             config["num_labels"] = 3
             tensors["classifier_weight"] = np.zeros((8, 3), np.float32)
             tensors["classifier_bias"] = np.zeros(3, np.float32)
         write_raw_bundle(path, config, tokens, tensors)
+        if defect == "truncated":
+            path.write_bytes(path.read_bytes()[:-1])
         code, captured = run_cli(["score", "--model", str(path)], "a b c.\n",
                                  monkeypatch, capsys)
         assert code == 2
@@ -310,6 +312,8 @@ class TestOutOfRangeFlags:
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--seeds", "0"),
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--seq-len", "0"),
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--batch-size", "0"),
+        (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--runs", "5"),
+        (["sample", "--lexicon", "lexicon.txt"], "--target-size", "1"),
     ], ids=lambda arg: arg[0] if isinstance(arg, list) else arg)
     def test_usage_error_before_the_model_loads(self, command, flag, value, bundle,
                                                 monkeypatch, capsys):

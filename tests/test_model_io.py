@@ -2,11 +2,15 @@
 
 import hashlib
 import struct
+import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hapstack.encoder import EncoderConfig, init_random, named_tensors
+from hapstack.encoder import EncoderConfig, init_random, named_tensors, tensor_shapes
 from hapstack.model_io import (
     MAGIC,
     BadMagicError,
@@ -229,3 +233,159 @@ def test_bad_config_record_rejected_on_load(tmp_path, field, value):
     write_raw_bundle(path, config_record, tokens, tensors)
     with pytest.raises(BundleError):
         load_bundle(path)
+
+
+@pytest.mark.parametrize("section", ["config", "table"])
+def test_deeply_nested_json_rejected_on_load(tmp_path, section):
+    # json raises RecursionError, not ValueError, past its nesting limit.
+    path = tmp_path / "model.hap"
+    config = small_config(64)
+    save_bundle(config, init_random(config, 0), build_ascii_vocab(64), path)
+    blob = path.read_bytes()
+    spans, pos = {}, 4
+    for name in ("config", "vocab", "table"):
+        (length,) = struct.unpack("<I", blob[pos:pos + 4])
+        spans[name] = (pos, pos + 4 + length)
+        pos += 4 + length
+    start, end = spans[section]
+    deep = b"[" * 100_000
+    path.write_bytes(blob[:start] + struct.pack("<I", len(deep)) + deep + blob[end:])
+    with pytest.raises(BundleError, match=f"invalid .*{section}"):
+        load_bundle(path)
+
+
+# --- Properties over random tiny models -------------------------------------
+
+@st.composite
+def tiny_bundles(draw):
+    """(config, weights, vocab) of a random model small enough to sweep."""
+    heads = draw(st.integers(1, 2))
+    config = EncoderConfig(num_layers=draw(st.integers(1, 2)), num_heads=heads,
+                           hidden_size=heads * draw(st.integers(1, 3)),
+                           intermediate_size=draw(st.integers(1, 6)),
+                           vocab_size=draw(st.integers(4, 12)),
+                           max_positions=draw(st.integers(2, 6)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return config, init_random(config, seed), build_ascii_vocab(config.vocab_size)
+
+
+def saved_bundle(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("bundle") / "model.hap"
+    save_bundle(*model, path)
+    return path
+
+
+def tensor_owners(config):
+    """Name of the tensor that holds each payload byte, in payload order."""
+    return [name for name, shape in sorted(tensor_shapes(config).items())
+            for _ in range(4 * prod(shape))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(tiny_bundles())
+def test_property_save_load_save_is_byte_identical(tmp_path_factory, model):
+    path = saved_bundle(tmp_path_factory, model)
+    loaded = load_bundle(path)
+    again = path.with_name("again.hap")
+    save_bundle(*loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(tiny_bundles(), st.data())
+def test_property_any_truncation_is_typed(tmp_path_factory, model, data):
+    path = saved_bundle(tmp_path_factory, model)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="length")])
+    with pytest.raises(TruncatedBundleError):
+        load_bundle(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_bundles(), st.data())
+def test_property_a_changed_byte_fails_typed_or_touches_only_its_tensor(
+        tmp_path_factory, model, data):
+    config = model[0]
+    path = saved_bundle(tmp_path_factory, model)
+    blob = bytearray(path.read_bytes())
+    owners = tensor_owners(config)
+    payload_start = len(blob) - len(owners)
+    at = data.draw(st.integers(0, len(blob) - 1) | st.integers(payload_start, len(blob) - 1),
+                   label="at")
+    blob[at] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
+    path.write_bytes(bytes(blob))
+    try:
+        loaded = load_bundle(path)
+    except BundleError:
+        return
+    if at >= payload_start:
+        before = named_tensors(model[1], config)
+        after = named_tensors(loaded.weights, config)
+        changed = {name for name in before if before[name].tobytes() != after[name].tobytes()}
+        assert changed == {owners[at - payload_start]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(tiny_bundles(), st.data())
+def test_property_permuted_payload_order_rejected(tmp_path_factory, model, data):
+    # Offsets that still tile the payload exactly, in another order than the
+    # table's: the loader accepts only the layout save_bundle writes.
+    path = saved_bundle(tmp_path_factory, model)
+    config_record, tokens, tensors = read_raw_bundle(path)
+    order = data.draw(st.permutations(sorted(tensors)).filter(lambda o: o != sorted(o)),
+                      label="order")
+    write_raw_bundle(path, config_record, tokens, tensors, order=order)
+    with pytest.raises(ShapeMismatchError, match="tensor table entry"):
+        load_bundle(path)
+
+
+# --- Memory and failed saves -------------------------------------------------
+
+def test_load_reads_tensors_in_place(tmp_path):
+    # A whole-file read plus a copy of each tensor peaks at about twice the
+    # bundle; reading each tensor into its own array leaves only the
+    # finiteness check's boolean temporary.
+    config = EncoderConfig(num_layers=1, num_heads=2, hidden_size=64, intermediate_size=128,
+                           vocab_size=8192, max_positions=64)
+    path = tmp_path / "model.hap"
+    save_bundle(config, init_random(config, 0), build_ascii_vocab(8192), path)
+    size = path.stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    try:
+        loaded = load_bundle(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.config == config
+    assert peak - kept < size / 2, f"load peak {peak - kept} B beyond the model, file {size} B"
+
+
+def test_huge_section_length_allocates_nothing(tmp_path):
+    path = tmp_path / "model.hap"
+    # A 4 GiB config length in a 212-byte file must fail before any read.
+    path.write_bytes(MAGIC + struct.pack("<I", 0xFFFFFFFF) + b"{}" * 100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedBundleError):
+            load_bundle(path)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("defect", ["nan", "shape"])
+def test_failed_save_leaves_existing_file(tmp_path, defect):
+    vocab = build_ascii_vocab(64)
+    config = small_config(len(vocab))
+    path = tmp_path / "model.hap"
+    save_bundle(config, init_random(config, 0), vocab, path)
+    before = path.read_bytes()
+    weights = init_random(config, 1)
+    if defect == "nan":
+        weights.layers[0].ffn_up_weight[0, 0] = np.nan
+    else:
+        weights.token_embedding = weights.token_embedding[:-1]
+    with pytest.raises(BundleError):
+        save_bundle(config, weights, vocab, path)
+    assert path.read_bytes() == before

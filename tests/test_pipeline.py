@@ -73,6 +73,16 @@ class TestSplitSentences:
     def test_whitespace_only(self):
         assert split_sentences("   \n  ") == []
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("ab.!? \t\n\r\x85\xa0\u3000")) | st.text())
+    def test_documented_rule(self, text):
+        fragments = split_sentences(text)
+        for fragment in fragments:
+            assert fragment and fragment == fragment.strip() and "\n" not in fragment
+            assert not any(a in ".!?" and b.isspace() for a, b in zip(fragment, fragment[1:]))
+        # str.split() drops exactly the whitespace: the visible text survives
+        assert "".join("".join(fragments).split()) == "".join(text.split())
+
 
 class TestSoftmaxPair:
     def test_symmetric_logits(self):
