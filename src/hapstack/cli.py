@@ -286,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus file for throughput mode")
     p.add_argument("--batch-size", type=POSITIVE_INT, default=32,
                    help="most sentences per encoder call in throughput mode (default 32)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("init-random", help="write a randomly initialized model bundle")
     p.add_argument("--config", required=True,
                    help="layers,heads,hidden,intermediate,vocab,positions")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--output", required=True, help="bundle path to write")
     p.add_argument("--vocab", help="vocab file (default: synthetic ASCII vocab)")
     p.set_defaults(func=cmd_init_random)

@@ -5,9 +5,11 @@ feed-forward), learned absolute position embeddings, a tanh pooler over
 the first position and a linear two-way classification head. Attention
 probabilities for every layer and head are returned alongside the
 logits, and padded positions are masked out of every attention column
-before the row softmax. The gelu is the exact-erf form, with erf
-computed in this module by a float32 rational approximation, so the
-package needs numpy alone.
+before the row softmax. The pooler reads the classification row (position
+0) alone, so past its attention probabilities the final block computes
+that row only; every layer's full attention is still returned. The gelu
+is the exact-erf form, with erf computed in this module by a float32
+rational approximation, so the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ INIT_SCALE = 0.02
 ATTENTION_MASK_BIAS = -1.0e9
 
 ACTIVATIONS = ("gelu",)
+# Rows per gelu tile: a [64, intermediate] float32 block and the erf's
+# temporaries stay in cache across its ~20 elementwise passes.
+GELU_ROWS = 64
 
 # erf(x) ~= x * P(x^2) / Q(x^2) on x clipped to [-4, 4], where float32 erf
 # is already +-1: the minimax rational used for float32 erf by Eigen and
@@ -214,9 +219,15 @@ def init_random(config: EncoderConfig, seed: int) -> ModelWeights:
 
 
 def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + np.float32(eps)) * gamma + beta
+    """Layernorm over the last axis into one new array: ``x`` is centred
+    once, and that array is scaled and shifted in place."""
+    out = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(out).mean(axis=-1, keepdims=True)
+    var += np.float32(eps)
+    out /= np.sqrt(var)
+    out *= gamma
+    out += beta
+    return out
 
 
 def _horner(x2: np.ndarray, coefficients: tuple[np.float32, ...]) -> np.ndarray:
@@ -249,10 +260,22 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gelu_in_tiles(x: np.ndarray) -> np.ndarray:
+    """``_gelu`` of ``x`` written back into ``x``, ``GELU_ROWS`` rows at a
+    time; returns ``x``."""
+    for start in range(0, len(x), GELU_ROWS):
+        tile = x[start:start + GELU_ROWS]
+        tile[...] = _gelu(tile)
+    return x
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in ``x``'s own buffer (the max
+    is subtracted, then exp and divide in place); returns ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
@@ -298,22 +321,30 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
         return proj.reshape(batch, t, heads, head_dim).transpose(0, 2, 1, 3)
 
     attention_stack: list[np.ndarray] = []
-    for layer in weights.layers:
+    final = len(weights.layers) - 1
+    for index, layer in enumerate(weights.layers):
         q = split_heads(x @ layer.q_weight + layer.q_bias)
         k = split_heads(x @ layer.k_weight + layer.k_bias)
         v = split_heads(x @ layer.v_weight + layer.v_bias)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + attn_bias
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= scale
+        scores += attn_bias
         probs = _softmax(scores)
         attention_stack.append(probs)
-        context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch * t, hidden)
+        if index == final:
+            # Only the pooler reads the final block's output, and only its
+            # row 0: run the rest of the block on the [B, hidden] CLS rows.
+            context = (probs[:, :, :1] @ v).reshape(batch, hidden)
+            x = x.reshape(batch, t, hidden)[:, 0]
+        else:
+            context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch * t, hidden)
         attn_out = context @ layer.out_weight + layer.out_bias
         x = _layernorm(x + attn_out, layer.attn_ln_gamma, layer.attn_ln_beta, eps)
-        up = _gelu(x @ layer.ffn_up_weight + layer.ffn_up_bias)
+        up = _gelu_in_tiles(x @ layer.ffn_up_weight + layer.ffn_up_bias)
         down = up @ layer.ffn_down_weight + layer.ffn_down_bias
         x = _layernorm(x + down, layer.ffn_ln_gamma, layer.ffn_ln_beta, eps)
 
-    hidden_states = x.reshape(batch, t, hidden)
-    pooled = np.tanh(hidden_states[:, 0, :] @ weights.pooler_weight + weights.pooler_bias)
+    pooled = np.tanh(x @ weights.pooler_weight + weights.pooler_bias)
     logits = pooled @ weights.classifier_weight + weights.classifier_bias
 
     return [

@@ -314,6 +314,9 @@ class TestOutOfRangeFlags:
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--batch-size", "0"),
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--runs", "5"),
         (["sample", "--lexicon", "lexicon.txt"], "--target-size", "1"),
+        (["bench", "--mode", "throughput", "--config", TINY_SPEC, "--config-b", TINY_SPEC],
+         "--seed", "-1"),
+        (["init-random", "--config", TINY_SPEC, "--output", "x.hap"], "--seed", "-1"),
     ], ids=lambda arg: arg[0] if isinstance(arg, list) else arg)
     def test_usage_error_before_the_model_loads(self, command, flag, value, bundle,
                                                 monkeypatch, capsys):

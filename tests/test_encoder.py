@@ -11,13 +11,18 @@ import pytest
 
 import hapstack
 from hapstack.encoder import (
+    ATTENTION_MASK_BIAS,
     EncoderConfig,
     _erf,
     _gelu,
+    _gelu_in_tiles,
+    _layernorm,
+    _softmax,
     bert_base_config,
     count_parameters,
     forward_batch,
     init_random,
+    named_tensors,
     piccolo_config,
 )
 from hapstack.wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence
@@ -179,6 +184,80 @@ class TestOracle:
             ref_logits, ref_attn, _ = reference_forward(ids, mask, weights, config)
             np.testing.assert_allclose(out.logits, ref_logits, atol=1e-5)
             np.testing.assert_allclose(out.attentions[-1], ref_attn[-1], atol=1e-5)
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_padded_batches_match_reference_on_every_row_and_layer(self, num_layers):
+        # The final block runs past its softmax on row 0 only; every row of a
+        # tail-padded batch, and a model whose one block is the final one,
+        # must still give the reference logits and every layer's attention.
+        # Weights 10x the init scale make the logits O(1) and the attention
+        # far from uniform, so a misplaced row or head shows at 1e-5.
+        config = EncoderConfig(num_layers=num_layers, num_heads=2, hidden_size=8,
+                               intermediate_size=16, vocab_size=32, max_positions=16)
+        rng = np.random.default_rng(num_layers)
+        for seed in range(2):
+            weights = init_random(config, seed)
+            for name, tensor in named_tensors(weights, config).items():
+                if "_ln_" not in name:
+                    tensor *= np.float32(10.0)
+            t = int(rng.integers(4, 9))
+            lengths = [t, 1, *rng.integers(2, t + 1, size=3).tolist()]
+            seqs = [make_seq(rng.integers(0, config.vocab_size, size=n).tolist() + [0] * (t - n),
+                             [1] * n + [0] * (t - n)) for n in lengths]
+            outs = forward_batch(seqs, weights, config)
+            assert len(outs) == len(seqs)
+            for seq, n, out in zip(seqs, lengths, outs):
+                ref_logits, ref_attn, _ = reference_forward(seq.ids, seq.attention_mask,
+                                                            weights, config)
+                np.testing.assert_allclose(out.logits, ref_logits, atol=1e-5)
+                assert len(out.attentions) == num_layers
+                for got, ref in zip(out.attentions, ref_attn):
+                    assert got.shape == (config.num_heads, t, t)
+                    np.testing.assert_allclose(got[:, :n, :n], np.asarray(ref)[:, :n, :n],
+                                               atol=1e-5)
+
+
+class TestElementwiseStages:
+    """The in-place and tiled stages give the bits of the plain expressions."""
+
+    @staticmethod
+    def scores(rows, cols, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 3.0, size=(rows, cols)).astype(np.float32)
+        x[::3, cols // 2:] += np.float32(ATTENTION_MASK_BIAS)  # masked pad columns
+        return x
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (7, 5), (48, 130)])
+    def test_softmax_equals_textbook_form(self, rows, cols):
+        x = self.scores(rows, cols)
+        shifted = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        expected = e / e.sum(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(_softmax(x.copy()), expected)
+
+    def test_softmax_works_in_its_argument(self):
+        x = self.scores(4, 6)
+        assert _softmax(x) is x
+
+    @pytest.mark.parametrize("rows", [1, 9, 1937])
+    def test_layernorm_equals_textbook_form(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(0.5, 2.0, size=(rows, 576)).astype(np.float32)
+        gamma = rng.normal(1.0, 0.1, size=576).astype(np.float32)
+        beta = rng.normal(0.0, 0.1, size=576).astype(np.float32)
+        original = x.copy()
+        eps = 1e-12
+        expected = ((x - x.mean(axis=-1, keepdims=True))
+                    / np.sqrt(x.var(axis=-1, keepdims=True) + np.float32(eps)) * gamma + beta)
+        np.testing.assert_array_equal(_layernorm(x, gamma, beta, eps), expected)
+        np.testing.assert_array_equal(x, original)
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129])
+    def test_tiled_gelu_equals_whole_array_gelu(self, rows):
+        x = np.random.default_rng(rows).normal(0.0, 3.0, size=(rows, 40)).astype(np.float32)
+        expected = _gelu(x)
+        assert _gelu_in_tiles(x) is x
+        np.testing.assert_array_equal(x, expected)
 
 
 class TestGelu:
