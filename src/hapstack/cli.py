@@ -229,13 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Filter a document corpus. Documents are read into "
                        f"a window of {pipeline.WINDOW_SENTENCES} sentences, scored together "
                        "in length-sorted batches, and their decisions written in input "
-                       "order.")
+                       "order. A window's batches run largest first, on one thread per "
+                       "usable CPU, with OpenBLAS pinned to one thread for the run; any "
+                       "other BLAS or platform runs them in sequence.")
     _add_model_flags(p)
     p.add_argument("--input", required=True, help="corpus file: <id>\\t<text>")
     p.add_argument("--output", required=True, help="decision records file")
     p.add_argument("--threshold", type=PROBABILITY, default=DEFAULT_HAP_THRESHOLD)
     p.add_argument("--max-flagged-fraction", type=PROBABILITY, default=0.5)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+    p.add_argument("--workers", type=POSITIVE_INT, default=1, help="accepted; has no effect")
     p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
     p.add_argument("--token-budget", type=POSITIVE_INT, default=8192,
                    help="most padded tokens per encoder call; a longer single "

@@ -13,8 +13,9 @@ class RunConfig:
     """Settings of one corpus run, checked once, here (frozen, so they stay
     checked). ``batch_size`` and ``token_budget`` are ceilings on a batch's
     rows and padded tokens (a single sentence longer than ``token_budget``
-    still runs, alone). Nothing reads ``workers`` or ``dynamic_batching``;
-    they stay because ``perfbench/workloads.py`` sets them in ``RUN_CONFIGS``."""
+    still runs, alone). Nothing reads ``workers`` or ``dynamic_batching``:
+    a corpus run sizes its scoring pool from the usable CPUs. They stay
+    because ``perfbench/workloads.py`` sets them in ``RUN_CONFIGS``."""
 
     batch_size: int = 32
     max_length: int = DEFAULT_MAX_LENGTH

@@ -7,18 +7,30 @@ the threshold. Corpus runs read a line-delimited record format and score
 a bounded window of documents at a time, writing the decisions in input
 order. Sentences are batched in order of token length under a row and a
 token ceiling, and a batch stops growing where its padding would cost
-more than another call.
+more than another call. A corpus run scores each window's batches largest
+first on a thread per usable CPU, with OpenBLAS pinned to one thread for
+the run; with one CPU, or a BLAS other than OpenBLAS on Linux, they run
+in sequence. Single requests always run in sequence and leave BLAS
+threading alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import os
 import re
 import statistics
+import sys
 import tempfile
+import threading
 import time
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -46,6 +58,21 @@ WINDOW_SENTENCES = 256
 # 2-3 ms per call at 200-250 us per token. A batch takes a longer sequence
 # only while the pad tokens that adds cost less than starting a new batch.
 CALL_COST_TOKENS = 12
+# (set, get) thread-count functions of OpenBLAS, in the order they are
+# tried: numpy's wheels export the scipy_openblas 64-bit-integer names,
+# other builds the 64-bit or the plain ones.
+OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+# The OpenBLAS thread count is process-wide, so overlapping corpus runs
+# share one pin: the first run in saves the count, the last run out
+# restores it.
+_pin_lock = threading.Lock()
+_pinned_runs = 0
+_unpinned_threads = 0
 
 
 @dataclass(frozen=True)
@@ -143,14 +170,77 @@ def _batch_indices(seqs: list[TokenizedSequence], batch_size: int,
     return batches
 
 
+@cache
+def _openblas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """The (set, get) thread-count functions of the OpenBLAS mapped into
+    this process, or None on a platform other than Linux, with another
+    BLAS, or when the lookup fails."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = sorted({fields[5].rstrip("\n") for fields in
+                            (line.split(maxsplit=5) for line in maps)
+                            if len(fields) == 6 and "openblas" in Path(fields[5]).name})
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for set_name, get_name in OPENBLAS_THREAD_FUNCTIONS:
+                if hasattr(library, set_name) and hasattr(library, get_name):
+                    set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    return set_threads, get_threads
+    except OSError:
+        return None
+    return None
+
+
+@contextmanager
+def _scoring_pool() -> Iterator[ThreadPoolExecutor | None]:
+    """A thread pool with one worker per usable CPU, with OpenBLAS pinned
+    to one thread until the last overlapping run leaves; None, for the
+    sequential path, with one CPU or no OpenBLAS found.
+
+    Whole batches on every core beat one batch whose GEMMs use every core:
+    a forward's elementwise stages run on one core, and two pool threads
+    on a BLAS that keeps its own threads contend for the same cores.
+    """
+    global _pinned_runs, _unpinned_threads
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    blas = _openblas_threads()
+    if workers < 2 or blas is None:
+        yield None
+        return
+    set_threads, get_threads = blas
+    with _pin_lock:
+        if _pinned_runs == 0:
+            _unpinned_threads = get_threads()
+            set_threads(1)
+        _pinned_runs += 1
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool
+    finally:
+        with _pin_lock:
+            _pinned_runs -= 1
+            if _pinned_runs == 0:
+                set_threads(_unpinned_threads)
+
+
 def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
-                    max_length: int = 512, token_budget: int = 8192) -> list[HapScore]:
+                    max_length: int = 512, token_budget: int = 8192,
+                    pool: ThreadPoolExecutor | None = None) -> list[HapScore]:
     """Score each sentence; output order matches input order and the
     results are independent of batch composition within 1e-5.
 
     Each distinct token-id sequence is run through the encoder once and
     its score shared by every sentence that encodes to it. ``batch_size``
     and ``token_budget`` are ceilings on a batch's rows and padded tokens.
+    Batches run largest first (rows x width), on ``pool`` when one is
+    given, so a long batch does not run last and alone.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -165,13 +255,20 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
         if slot == len(seqs):
             seqs.append(seq)
         slots.append(slot)
+    batches = sorted(_batch_indices(seqs, batch_size, token_budget), reverse=True,
+                     key=lambda batch: len(batch) * max(len(seqs[i].ids) for i in batch))
+
+    def run(batch: list[int]) -> list[np.ndarray]:
+        # Logits only: a finished batch waiting for its turn in map order
+        # must not hold every layer's attention.
+        width = max(len(seqs[i].ids) for i in batch)
+        padded = [pad_sequence(seqs[i], width, vocab) for i in batch]
+        return [output.logits for output in forward_batch(padded, weights, config)]
+
     scores: list[HapScore | None] = [None] * len(seqs)
-    for batch in _batch_indices(seqs, batch_size, token_budget):
-        target = max(len(seqs[i].ids) for i in batch)
-        padded = [pad_sequence(seqs[i], target, vocab) for i in batch]
-        outputs = forward_batch(padded, weights, config)
-        for i, output in zip(batch, outputs):
-            scores[i] = softmax_pair(output.logits)
+    for batch, logits in zip(batches, pool.map(run, batches) if pool else map(run, batches)):
+        for i, row in zip(batch, logits):
+            scores[i] = softmax_pair(row)
     return [scores[slot] for slot in slots]  # type: ignore[misc]
 
 
@@ -187,13 +284,14 @@ def decide_from_scores(hap_scores: list[float], hap_threshold: float,
 
 
 def _decide_window(window: list[tuple[Document, list[str]]], model: LoadedModel,
-                   run_config: RunConfig) -> list[FilterDecision]:
+                   run_config: RunConfig,
+                   pool: ThreadPoolExecutor | None = None) -> list[FilterDecision]:
     """Score a window's sentences as one set and decide each document, in
     window order: the one place scored sentences become decisions."""
     scores = iter(score_sentences(
         [sentence for _, sentences in window for sentence in sentences], model,
         run_config.batch_size, max_length=run_config.max_length,
-        token_budget=run_config.token_budget))
+        token_budget=run_config.token_budget, pool=pool))
     decisions = []
     for doc, sentences in window:
         doc_scores = list(islice(scores, len(sentences)))
@@ -232,9 +330,9 @@ def _parse_corpus_line(line: str) -> Document | None:
 
 
 def _write_window(window: list[tuple[Document, list[str]]], out, model: LoadedModel,
-                  run_config: RunConfig) -> int:
+                  run_config: RunConfig, pool: ThreadPoolExecutor | None) -> int:
     """Write a window's decision records in input order; return the kept count."""
-    decisions = _decide_window(window, model, run_config)
+    decisions = _decide_window(window, model, run_config, pool)
     for d in decisions:
         joined = ",".join(f"{score.hap:.6f}" for _, score in d.sentence_scores)
         out.write(f"{d.doc_id}\t{int(d.kept)}\t{d.flagged_fraction:.6f}\t{joined}\n")
@@ -251,7 +349,9 @@ def run_corpus(input_path: str | Path, output_path: str | Path,
     decisions are written in input order. Memory is bounded by the window,
     not the corpus. Malformed lines are counted, skipped and reported in one
     warning. A line that is not valid UTF-8 raises ``UnicodeDecodeError``
-    after every earlier decision is written.
+    after every earlier decision is written. A window's batches run on the
+    run's scoring pool (see ``_scoring_pool``); the OpenBLAS thread count is
+    restored when the run returns or raises.
     """
     if Path(output_path).resolve() == Path(input_path).resolve():
         raise ValueError(f"output {output_path} would overwrite the input corpus")
@@ -261,12 +361,13 @@ def run_corpus(input_path: str | Path, output_path: str | Path,
     window: list[tuple[Document, list[str]]] = []
     window_sentences = 0
     with (open(input_path, "rb") as src,
-          open(output_path, "w", encoding="utf-8", newline="\n") as out):
+          open(output_path, "w", encoding="utf-8", newline="\n") as out,
+          _scoring_pool() as pool):
         for lineno, raw in enumerate(src, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
-                _write_window(window, out, model, run_config)
+                _write_window(window, out, model, run_config, pool)
                 raise
             doc = _parse_corpus_line(line.removesuffix("\n"))
             if doc is None:
@@ -279,9 +380,9 @@ def run_corpus(input_path: str | Path, output_path: str | Path,
             window_sentences += len(sentences)
             processed += 1
             if window_sentences >= WINDOW_SENTENCES:
-                kept += _write_window(window, out, model, run_config)
+                kept += _write_window(window, out, model, run_config, pool)
                 window, window_sentences = [], 0
-        kept += _write_window(window, out, model, run_config)
+        kept += _write_window(window, out, model, run_config, pool)
     if skipped:
         logger.warning("skipped %d malformed corpus line(s); first line numbers: %s",
                        skipped, ", ".join(map(str, first_skipped)))

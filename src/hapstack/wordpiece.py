@@ -103,19 +103,17 @@ def pre_tokenize(text: str) -> list[str]:
     standalone single-character words. Interior punctuation stays put."""
     words: list[str] = []
     for chunk in text.split():
-        head: list[str] = []
-        tail: list[str] = []
-        core = chunk
-        while core and _is_punctuation(core[0]):
-            head.append(core[0])
-            core = core[1:]
-        while core and _is_punctuation(core[-1]):
-            tail.append(core[-1])
-            core = core[:-1]
-        words.extend(head)
-        if core:
-            words.append(core)
-        words.extend(reversed(tail))
+        # One scan from each end, then one slice per side: peeling a
+        # character at a time would copy the chunk once per character.
+        start, end = 0, len(chunk)
+        while start < end and _is_punctuation(chunk[start]):
+            start += 1
+        while end > start and _is_punctuation(chunk[end - 1]):
+            end -= 1
+        words.extend(chunk[:start])
+        if start < end:
+            words.append(chunk[start:end])
+        words.extend(chunk[end:])
     return words
 
 

@@ -306,6 +306,7 @@ class TestOutOfRangeFlags:
         (["filter", *FILTER_FILES], "--threshold", "2"),
         (["filter", *FILTER_FILES], "--max-flagged-fraction", "-0.5"),
         (["filter", *FILTER_FILES], "--token-budget", "0"),
+        (["filter", *FILTER_FILES], "--workers", "0"),
         (["sample", "--mine"], "--min-hap", "2"),
         (["sample", "--mine"], "--limit", "-1"),
         (["rescore", "--input", "beam.tsv"], "--lambda", "-1"),

@@ -3,7 +3,10 @@
 import contextlib
 import logging
 import math
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -32,23 +35,52 @@ from hapstack.pipeline import (
     unescape_text,
 )
 from hapstack.pipeline import _batch_indices
+from hapstack.rescore import Hypothesis, rescore_beam
 from hapstack.wordpiece import TokenizedSequence
 
 from conftest import random_words
 
 
 @contextlib.contextmanager
-def forward_rows():
-    """Record the row count of every forward_batch call the pipeline makes."""
+def forward_rows(measure=len):
+    """Record ``measure(seqs)``, by default the row count, of every
+    forward_batch call the pipeline makes."""
     rows = []
     forward_batch = pipeline.forward_batch
 
     def counting(seqs, *args):
-        rows.append(len(seqs))
+        rows.append(measure(seqs))
         return forward_batch(seqs, *args)
 
     with mock.patch.object(pipeline, "forward_batch", counting):
         yield rows
+
+
+@contextlib.contextmanager
+def two_cpus(blas=None):
+    """Two usable CPUs and ``blas`` as the OpenBLAS (set, get) pair, so that
+    run_corpus takes the pooled path; without ``blas``, the OpenBLAS found
+    in this process, or a no-op pair where there is none."""
+    blas = blas or pipeline._openblas_threads() or (lambda n: None, lambda: 1)
+    with (mock.patch.object(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
+          mock.patch.object(pipeline, "_openblas_threads", lambda: blas)):
+        yield
+
+
+@pytest.fixture
+def openblas():
+    """The OpenBLAS (set, get) pair, set to 3 threads for the test, so a
+    run that fails to restore its count leaves a count of 1."""
+    blas = pipeline._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS in this process")
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(3)
+    try:
+        yield blas
+    finally:
+        set_threads(before)
 
 
 class TestSplitSentences:
@@ -129,6 +161,14 @@ class TestScoreSentences:
 
     def test_empty_input(self, tiny_model):
         assert score_sentences([], tiny_model, batch_size=4) == []
+
+    def test_batches_run_largest_first(self, tiny_model):
+        rng = np.random.default_rng(13)
+        sentences = [random_words(rng, n) for n in (1, 9, 2, 5, 3, 8, 1, 4, 7, 2, 6, 3)]
+        with forward_rows(lambda seqs: len(seqs) * len(seqs[0].ids)) as sizes:
+            score_sentences(sentences, tiny_model, batch_size=3)
+        assert len(set(sizes)) >= 3
+        assert sizes == sorted(sizes, reverse=True)
 
     def test_duplicates_scored_once(self, tiny_model):
         sentences = ["same words here.", "other words.", "same words here.", "same words here."]
@@ -278,16 +318,35 @@ class TestRunCorpus:
         assert dst.read_text(encoding="utf-8") == ""
 
     def test_worker_count_does_not_change_output(self, tiny_model, tmp_path):
+        # One window of many batches, scored on a two-thread pool and in
+        # sequence (no OpenBLAS found).
         rng = np.random.default_rng(21)
-        docs = [(f"doc{i}", ". ".join(random_words(rng, 4) for _ in range(3)) + ".")
-                for i in range(10)]
+        docs = [(f"doc{i}", ". ".join(random_words(rng, int(rng.integers(1, 12)))
+                                      for _ in range(3)) + ".") for i in range(10)]
         src = tmp_path / "in.tsv"
         write_corpus(src, docs)
-        out1, out4 = tmp_path / "w1.tsv", tmp_path / "w4.tsv"
-        s1 = run_corpus(src, out1, tiny_model, RunConfig(workers=1))
-        s4 = run_corpus(src, out4, tiny_model, RunConfig(workers=4))
-        assert out1.read_bytes() == out4.read_bytes()
-        assert s1.processed == s4.processed == 10
+        threads, lock = [], threading.Lock()
+        both_in = threading.Barrier(2, timeout=30)
+        forward_batch = pipeline.forward_batch
+
+        def recording(seqs, *args):
+            with lock:
+                threads.append(threading.get_ident())
+                first_two = len(threads) <= 2
+            if first_two:
+                both_in.wait()  # passes only with two forwards running at once
+            return forward_batch(seqs, *args)
+
+        pooled, sequential = tmp_path / "pooled.tsv", tmp_path / "sequential.tsv"
+        with two_cpus(), mock.patch.object(pipeline, "forward_batch", recording):
+            s1 = run_corpus(src, pooled, tiny_model, RunConfig(batch_size=4))
+        with mock.patch.object(pipeline, "_openblas_threads", lambda: None):
+            with forward_rows() as rows:
+                s2 = run_corpus(src, sequential, tiny_model, RunConfig(batch_size=4))
+        assert len(rows) >= 3 and len(threads) == len(rows)
+        assert len(set(threads)) > 1
+        assert pooled.read_bytes() == sequential.read_bytes()
+        assert s1.processed == s2.processed == 10
 
     def test_malformed_line_skipped(self, tiny_model, tmp_path):
         src, dst = tmp_path / "in.tsv", tmp_path / "out.tsv"
@@ -397,6 +456,132 @@ class TestRunCorpus:
         keys = [line.split("=")[0] for line in summary.to_lines()]
         assert keys == ["processed", "skipped", "kept", "discarded", "wall_ms", "docs_per_s"]
         assert summary.kept + summary.discarded == summary.processed
+
+
+class TestScoringPool:
+    def _corpus(self, tmp_path, tail=b""):
+        src = tmp_path / "in.tsv"
+        write_corpus(src, [(f"d{i}", f"word{i} here. and {'x ' * i}there.") for i in range(12)])
+        with open(src, "ab") as f:
+            f.write(tail)
+        return src
+
+    def _pinned_counts(self, get_threads):
+        """Record the OpenBLAS thread count as each window is written."""
+        counts = []
+        write_window = pipeline._write_window
+
+        def recording(window, *args):
+            counts.append(get_threads())
+            return write_window(window, *args)
+
+        return counts, mock.patch.object(pipeline, "_write_window", recording)
+
+    def test_count_restored_after_a_run(self, tiny_model, tmp_path, openblas):
+        counts, recording = self._pinned_counts(openblas[1])
+        with two_cpus(), recording:
+            run_corpus(self._corpus(tmp_path), tmp_path / "out.tsv", tiny_model, RunConfig())
+        assert counts and set(counts) == {1}
+        assert openblas[1]() == 3
+
+    def test_count_restored_after_a_failed_run(self, tiny_model, tmp_path, openblas):
+        counts, recording = self._pinned_counts(openblas[1])
+        src = self._corpus(tmp_path, tail=b"bad\t\xff\xfe\n")
+        with two_cpus(), recording, pytest.raises(UnicodeDecodeError):
+            run_corpus(src, tmp_path / "out.tsv", tiny_model, RunConfig())
+        assert counts and set(counts) == {1}
+        assert openblas[1]() == 3
+        assert len((tmp_path / "out.tsv").read_text(encoding="utf-8").splitlines()) == 12
+
+    def test_count_restored_after_overlapping_runs(self, tiny_model, tmp_path, openblas):
+        # "first" enters, "second" enters, "first" leaves while "second"
+        # still runs pinned, then "second" leaves and restores the count.
+        src = self._corpus(tmp_path)
+        get_threads = openblas[1]
+        both_in = threading.Barrier(2, timeout=30)
+        first_left = threading.Event()
+        entered, counts, errors = set(), [], []
+        write_window = pipeline._write_window
+
+        def overlapping(window, *args):
+            name = threading.current_thread().name
+            if name not in entered:
+                entered.add(name)
+                both_in.wait()
+                if name == "second":
+                    first_left.wait(30)
+                    counts.append(get_threads())
+            return write_window(window, *args)
+
+        def run(name):
+            try:
+                run_corpus(src, tmp_path / f"{name}.tsv", tiny_model, RunConfig())
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                if name == "first":
+                    first_left.set()
+
+        with two_cpus(), mock.patch.object(pipeline, "_write_window", overlapping):
+            runs = [threading.Thread(target=run, args=(name,), name=name)
+                    for name in ("first", "second")]
+            for thread in runs:
+                thread.start()
+            for thread in runs:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in runs)
+        assert errors == []
+        assert first_left.is_set() and counts == [1]
+        assert get_threads() == 3
+        assert (tmp_path / "first.tsv").read_bytes() == (tmp_path / "second.tsv").read_bytes()
+
+    def test_many_overlapping_pools_restore_the_count(self):
+        # More threads than cores entering and leaving at once: a lost update
+        # of the run count would restore the count early or never.
+        blas_threads = [3]
+
+        def set_threads(n):
+            time.sleep(0)  # like the ctypes call, let other threads run
+            blas_threads[0] = n
+
+        def get_threads():
+            time.sleep(0)
+            return blas_threads[0]
+
+        inside = []
+
+        def enter_and_leave():
+            for _ in range(50):
+                with pipeline._scoring_pool() as pool:
+                    inside.append((pool is not None, blas_threads[0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with two_cpus((set_threads, get_threads)):
+                runs = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+                for thread in runs:
+                    thread.start()
+                for thread in runs:
+                    thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in runs)
+        assert len(inside) == 400 and set(inside) == {(True, 1)}
+        assert blas_threads == [3]
+
+    def test_single_requests_leave_blas_threading_alone(self, tiny_model, tmp_path):
+        set_threads, get_threads = mock.Mock(), mock.Mock(return_value=2)
+        with two_cpus((set_threads, get_threads)):
+            score_sentences(["one thing.", "two things here."], tiny_model, batch_size=1)
+            rescore_beam([Hypothesis("a b.", -1.0), Hypothesis("c d e.", -2.0)], tiny_model,
+                         batch_size=1)
+            filter_document(Document("d", "One. Two. Three!"), tiny_model, 0.5, 0.5,
+                            batch_size=1)
+            assert set_threads.call_count == get_threads.call_count == 0
+            # the spy sees a corpus run pin and restore
+            run_corpus(self._corpus(tmp_path), tmp_path / "out.tsv", tiny_model, RunConfig())
+        assert set_threads.call_args_list == [mock.call(1), mock.call(2)]
 
 
 _ID = st.text("abc019", min_size=1, max_size=3)

@@ -1,5 +1,8 @@
 """Tokenizer unit tests: vocab loading, greedy matching, encoding."""
 
+import time
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +164,35 @@ class TestPreTokenize:
 
     def test_all_punctuation_chunk(self):
         assert pre_tokenize("...") == [".", ".", "."]
+
+    def test_long_punctuation_run_is_linear(self):
+        # Peeling one character at a time copied the chunk each time:
+        # about 20 s for this input.
+        start = time.perf_counter()
+        words = pre_tokenize("a" + "!" * 1_000_000)
+        elapsed = time.perf_counter() - start
+        assert len(words) == 1_000_001 and words[:2] == ["a", "!"]
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
+
+    @settings(max_examples=300)
+    @given(st.text(st.sampled_from("ab.,!'* \t\n\u00bf\u3001")))
+    def test_matches_character_peeling(self, text):
+        assert pre_tokenize(text) == _peeling_pre_tokenize(text)
+
+
+def _peeling_pre_tokenize(text):
+    """Reference: peel leading and trailing punctuation one character at a time."""
+    words = []
+    for chunk in text.split():
+        head, tail, core = [], [], chunk
+        while core and unicodedata.category(core[0]).startswith("P"):
+            head.append(core[0])
+            core = core[1:]
+        while core and unicodedata.category(core[-1]).startswith("P"):
+            tail.append(core[-1])
+            core = core[:-1]
+        words.extend(head + ([core] if core else []) + tail[::-1])
+    return words
 
 
 WORDS = st.text(alphabet=st.characters(min_codepoint=ord("a"), max_codepoint=ord("z")),
