@@ -159,9 +159,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _format_bench_report(report: pipeline.BenchReport) -> list[str]:
+    dims = [str(d) for d in report.architecture]
     lines = [
-        f"model={report.model_label}",
-        f"architecture={','.join(str(d) for d in report.architecture)}",
+        f"model={'x'.join(dims)}",
+        f"architecture={','.join(dims)}",
         f"mean_latency_ms={report.mean_latency_ms:.4f}",
         f"stddev_ms={report.stddev_ms:.4f}",
         f"seeds={report.seeds}",
@@ -204,11 +205,13 @@ def cmd_init_random(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser, batches: bool = True) -> None:
+    """--model and --max-length; --batch-size too for a subcommand that batches."""
     parser.add_argument("--model", "-m", help="model bundle path "
                         "(falls back to $HAPSTACK_MODEL)")
-    parser.add_argument("--batch-size", type=POSITIVE_INT, default=32,
-                        help="most sentences per encoder call (default 32)")
+    if batches:
+        parser.add_argument("--batch-size", type=POSITIVE_INT, default=32,
+                            help="most sentences per encoder call (default 32)")
     parser.add_argument("--max-length", type=_in_range(int, 2), default=DEFAULT_MAX_LENGTH)
 
 
@@ -245,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("heatmap", help="render attention heatmaps for sentences")
-    _add_model_flags(p)
+    _add_model_flags(p, batches=False)
     p.add_argument("--input", help="sentence-per-line input file (default stdin)")
     p.add_argument("--output", help="output file (default stdout)")
     p.add_argument("--format", choices=heatmap.RENDER_FORMATS, default="text-grid")

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .encoder import EncoderConfig, ModelWeights, count_parameters, forward_batch, init_random
+from .encoder import EncoderConfig, count_parameters, forward_batch, init_random
 from .model_io import LoadedModel
 from .wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence
 
@@ -103,7 +103,6 @@ class FilterDecision:
 
 @dataclass
 class BenchReport:
-    model_label: str
     architecture: tuple[int, int, int, int]
     mean_latency_ms: float
     stddev_ms: float
@@ -206,12 +205,9 @@ def _scoring_pool() -> Iterator[ThreadPoolExecutor | None]:
     on a BLAS that keeps its own threads contend for the same cores.
     """
     global _pinned_runs, _unpinned_threads
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
+    # OpenBLAS is looked up on Linux only, where sched_getaffinity exists.
     blas = _openblas_threads()
-    if workers < 2 or blas is None:
+    if blas is None or (workers := len(os.sched_getaffinity(0))) < 2:
         yield None
         return
     set_threads, get_threads = blas
@@ -353,7 +349,7 @@ def run_corpus(input_path: str | Path, output_path: str | Path,
     run's scoring pool (see ``_scoring_pool``); the OpenBLAS thread count is
     restored when the run returns or raises.
     """
-    if Path(output_path).resolve() == Path(input_path).resolve():
+    if os.path.exists(output_path) and os.path.samefile(input_path, output_path):
         raise ValueError(f"output {output_path} would overwrite the input corpus")
     start = time.perf_counter()
     processed = skipped = kept = 0
@@ -398,26 +394,29 @@ def run_corpus(input_path: str | Path, output_path: str | Path,
     )
 
 
-def _bench_label(config: EncoderConfig) -> str:
-    return "x".join(str(d) for d in config.architecture)
+def _interleaved(timers: tuple[Callable[[], float], Callable[[], float]],
+                 done: Callable[[list[float], list[float]], bool]) -> tuple[list[float], list[float]]:
+    """Call two timers in A/B/B/A groups, so drift on a noisy machine hits
+    both sides alike, until ``done(times_a, times_b)`` holds at the end of
+    a group; return each side's times."""
+    times: tuple[list[float], list[float]] = ([], [])
+    while not done(*times):
+        for side in (0, 1, 1, 0):
+            times[side].append(timers[side]())
+    return times
 
 
-def _latency_case(config: EncoderConfig, seed: int,
-                  seq_len: int) -> tuple[TokenizedSequence, ModelWeights]:
-    """Fresh random weights and a random unpadded sequence for one seed."""
-    length = min(seq_len, config.max_positions)
-    ids = np.random.default_rng(seed + 1).integers(0, config.vocab_size, size=length)
-    seq = TokenizedSequence(ids=ids.tolist(), attention_mask=[1] * length,
-                            word_spans=[], pieces=[], words=[])
-    return seq, init_random(config, seed)
-
-
-def _ordered_by_size(config_a: EncoderConfig, config_b: EncoderConfig,
-                     report_a: BenchReport, report_b: BenchReport) -> tuple[BenchReport, BenchReport]:
-    """(smaller-model report, larger-model report) by parameter count."""
-    if count_parameters(config_b) < count_parameters(config_a):
-        return report_b, report_a
-    return report_a, report_b
+def _compare(configs: tuple[EncoderConfig, EncoderConfig], centres_ms: list[float],
+             spreads_ms: list[float], seeds: int,
+             docs: int | None = None) -> tuple[BenchReport, BenchReport, float]:
+    """Both sides' reports, with docs/s at the centre time when ``docs`` is given, and
+    the speedup: the larger model's time over the smaller's, by parameter count."""
+    report_a, report_b = (
+        BenchReport(config.architecture, centre, spread, seeds,
+                    None if docs is None else docs * 1000.0 / centre)
+        for config, centre, spread in zip(configs, centres_ms, spreads_ms))
+    small, large = sorted((0, 1), key=lambda side: count_parameters(configs[side]))
+    return report_a, report_b, centres_ms[large] / centres_ms[small]
 
 
 def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
@@ -425,45 +424,41 @@ def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
                   seq_len: int = 32) -> tuple[BenchReport, BenchReport, float]:
     """Single-sequence latency comparison on a monotonic clock.
 
-    Per seed: fresh random weights for both sides, 3 untimed warm-up runs
-    each, then ``n_runs`` timed forwards per side with the A/B order
-    alternating run by run, so drift on a noisy machine hits both sides
-    alike. A side's mean and stddev are taken over its per-seed median
-    times. Speedup is larger-model mean over smaller-model mean.
+    Per seed: fresh random weights and a random unpadded sequence for each
+    side, 3 untimed warm-up runs each, then ``n_runs`` timed forwards per
+    side in A/B/B/A groups (see ``_interleaved``), so an odd ``n_runs`` is
+    rounded up to the next even count. A side's mean and stddev are taken
+    over its per-seed median times. Speedup is larger-model mean over
+    smaller-model mean.
     """
     if n_runs < 10:
         raise ValueError("n_runs must be >= 10")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    configs = (config_a, config_b)
-    seed_medians: tuple[list[float], list[float]] = ([], [])
+
+    def timer(config: EncoderConfig, seed: int) -> Callable[[], float]:
+        ids = np.random.default_rng(seed + 1).integers(
+            0, config.vocab_size, size=min(seq_len, config.max_positions)).tolist()
+        seq = TokenizedSequence(ids=ids, attention_mask=[1] * len(ids), word_spans=[],
+                                pieces=[], words=[])
+        weights = init_random(config, seed)
+
+        def run() -> float:
+            t0 = time.perf_counter()
+            forward_batch([seq], weights, config)
+            return (time.perf_counter() - t0) * 1000.0
+        return run
+
+    seed_medians = []
     for seed in range(n_seeds):
-        cases = [_latency_case(config, seed, seq_len) for config in configs]
-        for (seq, weights), config in zip(cases, configs):
-            for _ in range(BENCH_WARMUP_RUNS):
-                forward_batch([seq], weights, config)
-        times: tuple[list[float], list[float]] = ([], [])
-        for run in range(n_runs):
-            for side in ((0, 1) if run % 2 == 0 else (1, 0)):
-                seq, weights = cases[side]
-                t0 = time.perf_counter()
-                forward_batch([seq], weights, configs[side])
-                times[side].append(time.perf_counter() - t0)
-        for side in (0, 1):
-            seed_medians[side].append(statistics.median(times[side]))
-    report_a, report_b = (
-        BenchReport(
-            model_label=_bench_label(config),
-            architecture=config.architecture,
-            mean_latency_ms=statistics.mean(medians) * 1000.0,
-            stddev_ms=statistics.pstdev(medians) * 1000.0,
-            seeds=n_seeds,
-        )
-        for config, medians in zip(configs, seed_medians)
-    )
-    small, large = _ordered_by_size(config_a, config_b, report_a, report_b)
-    speedup = large.mean_latency_ms / small.mean_latency_ms
-    return report_a, report_b, speedup
+        timers = (timer(config_a, seed), timer(config_b, seed))
+        for warm_up in timers * BENCH_WARMUP_RUNS:
+            warm_up()
+        times = _interleaved(timers, lambda a, b: len(a) >= n_runs)
+        seed_medians.append([statistics.median(side) for side in times])
+    sides = list(zip(*seed_medians))
+    return _compare((config_a, config_b), [statistics.mean(side) for side in sides],
+                    [statistics.pstdev(side) for side in sides], n_seeds)
 
 
 def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
@@ -471,40 +466,30 @@ def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
                      seed: int = 0) -> tuple[BenchReport, BenchReport, float]:
     """Time ``run_corpus`` under two architectures with identical settings.
 
-    Both models are built first. The corpus then runs in A/B/B/A groups,
-    so drift on a noisy machine hits both sides alike, until each side has
-    run for ``BENCH_THROUGHPUT_MIN_S`` seconds (at least two runs per
-    side). A side reports its median wall time (``mean_latency_ms``), the
-    stddev over its runs and the docs/s at that median. Speedup is
-    larger-model median over smaller-model median.
+    Both models are built first. The corpus then runs in A/B/B/A groups
+    (see ``_interleaved``) until each side has run for
+    ``BENCH_THROUGHPUT_MIN_S`` seconds, so each side runs at least twice.
+    Decision files go to a temporary directory. A side reports its median
+    wall time (``mean_latency_ms``), the stddev over its runs and the
+    docs/s at that median. Speedup is larger-model median over
+    smaller-model median.
     """
     if not Path(corpus_path).exists():
         raise FileNotFoundError(f"corpus not found: {corpus_path}")
-    configs = (config_a, config_b)
-    models = [LoadedModel(config=config, weights=init_random(config, seed),
-                          vocab=build_ascii_vocab(config.vocab_size))
-              for config in configs]
     run_config = RunConfig(batch_size=batch_size)
-    walls_ms: tuple[list[float], list[float]] = ([], [])
-    processed = 0
+    summaries: list[CorpusSummary] = []
+
+    def timer(config: EncoderConfig, out_path: Path) -> Callable[[], float]:
+        model = LoadedModel(config, init_random(config, seed), build_ascii_vocab(config.vocab_size))
+
+        def run() -> float:
+            summaries.append(run_corpus(corpus_path, out_path, model, run_config))
+            return summaries[-1].wall_ms
+        return run
+
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "decisions.tsv"
-        while min(sum(walls) for walls in walls_ms) < BENCH_THROUGHPUT_MIN_S * 1000.0:
-            for side in (0, 1, 1, 0):
-                summary = run_corpus(corpus_path, out_path, models[side], run_config)
-                walls_ms[side].append(summary.wall_ms)
-                processed = summary.processed
-    report_a, report_b = (
-        BenchReport(
-            model_label=_bench_label(config),
-            architecture=config.architecture,
-            mean_latency_ms=statistics.median(walls),
-            stddev_ms=statistics.pstdev(walls),
-            seeds=1,
-            throughput_docs_per_s=processed * 1000.0 / statistics.median(walls),
-        )
-        for config, walls in zip(configs, walls_ms)
-    )
-    small, large = _ordered_by_size(config_a, config_b, report_a, report_b)
-    speedup = large.mean_latency_ms / small.mean_latency_ms
-    return report_a, report_b, speedup
+        walls = _interleaved((timer(config_a, out_path), timer(config_b, out_path)),
+                             lambda a, b: min(sum(a), sum(b)) >= BENCH_THROUGHPUT_MIN_S * 1000.0)
+    return _compare((config_a, config_b), [statistics.median(side) for side in walls],
+                    [statistics.pstdev(side) for side in walls], 1, docs=summaries[-1].processed)

@@ -8,6 +8,7 @@ order, and weight 0 reproduces the original ranking exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,7 +56,9 @@ def rescore_beam(hypotheses: list[Hypothesis], model: LoadedModel | None = None,
 
 
 def read_beam_file(path: str | Path) -> list[Hypothesis]:
-    """Parse ``<original_score><TAB><text>[<TAB><non_hap>]`` lines."""
+    """Parse ``<original_score><TAB><text>[<TAB><non_hap>]`` lines. A NaN
+    original score, or a non_hap outside [0, 1], raises ``ValueError``
+    naming the line; an infinite original score sorts and is accepted."""
     hypotheses = []
     lines = split_lines(Path(path).read_bytes().decode("utf-8"))
     for lineno, line in enumerate(lines, start=1):
@@ -64,6 +67,10 @@ def read_beam_file(path: str | Path) -> list[Hypothesis]:
             raise ValueError(f"beam line {lineno} has {len(parts)} fields, expected 2 or 3")
         original = float(parts[0])
         non_hap = float(parts[2]) if len(parts) == 3 else None
+        if math.isnan(original):
+            raise ValueError(f"beam line {lineno}: original score is NaN")
+        if non_hap is not None and not 0.0 <= non_hap <= 1.0:
+            raise ValueError(f"beam line {lineno}: non_hap {parts[2]!r} is not in [0, 1]")
         hypotheses.append(Hypothesis(text=parts[1], original_score=original,
                                      non_hap=non_hap))
     return hypotheses

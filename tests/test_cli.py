@@ -214,6 +214,13 @@ class TestHeatmap:
         assert any(line.startswith("ATT 0 0 ") for line in captured.out.splitlines())
         assert any(line.startswith("WORD a ") for line in captured.out.splitlines())
 
+    def test_batch_size_is_a_usage_error(self, bundle, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a short one.\n"))
+        with pytest.raises(SystemExit) as exc:
+            main(["heatmap", "--model", str(bundle), "--batch-size", "4"])
+        assert exc.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
 
 class TestRescore:
     def test_preset_scores_no_model(self, tmp_path, capsys):
@@ -289,6 +296,17 @@ class TestBench:
         speedup = float([l for l in captured.out.splitlines()
                          if l.startswith("speedup=")][0].split("=")[1])
         assert 0.5 <= speedup <= 2.0  # loose: single-seed smoke run
+
+    def test_latency_report_keys(self, capsys):
+        code = main(["bench", "--mode", "latency", "--config", TINY_SPEC,
+                     "--config-b", TINY_SPEC, "--runs", "10", "--seeds", "1",
+                     "--seq-len", "8"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        side = ["model", "architecture", "mean_latency_ms", "stddev_ms", "seeds"]
+        assert [line.split("=")[0] for line in lines] == side + side + ["speedup"]
+        assert lines[0] == lines[5] == "model=2x2x8x16"
+        assert lines[1] == lines[6] == "architecture=2,2,8,16"
 
     def test_throughput_requires_corpus(self, capsys):
         code = main(["bench", "--mode", "throughput", "--config", TINY_SPEC,

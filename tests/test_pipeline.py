@@ -3,6 +3,7 @@
 import contextlib
 import logging
 import math
+import os
 import sys
 import tempfile
 import threading
@@ -432,6 +433,15 @@ class TestRunCorpus:
             run_corpus(src, tmp_path / "." / "in.tsv", tiny_model, RunConfig())
         assert src.read_text(encoding="utf-8") == "d1\ta day.\n"
 
+    def test_hard_linked_output_rejected(self, tiny_model, tmp_path):
+        src = tmp_path / "in.tsv"
+        write_corpus(src, [("d1", "a day.")])
+        before = src.read_bytes()
+        os.link(src, tmp_path / "out.tsv")
+        with pytest.raises(ValueError):
+            run_corpus(src, tmp_path / "out.tsv", tiny_model, RunConfig())
+        assert src.read_bytes() == before
+
     def test_decision_record_format(self, tiny_model, tmp_path):
         src, dst = tmp_path / "in.tsv", tmp_path / "out.tsv"
         src.write_text("d1\tGood day. Bad day!\n", encoding="utf-8")
@@ -630,7 +640,34 @@ class TestStreamingReader:
         assert out_ids == [doc_id for doc_id, _ in expected]
 
 
+class TestInterleaved:
+    def test_abba_groups_until_done(self):
+        calls = []
+
+        def timer(name):
+            return lambda: calls.append(name) or float(len(calls))
+
+        times = pipeline._interleaved((timer("A"), timer("B")),
+                                      lambda a, b: len(a) + len(b) >= 6)
+        assert "".join(calls) == "ABBAABBA"
+        assert times == ([1.0, 4.0, 5.0, 8.0], [2.0, 3.0, 6.0, 7.0])
+
+
 class TestBenchLatency:
+    def test_odd_run_count_rounded_up(self, tiny_config):
+        larger = EncoderConfig(num_layers=2, num_heads=2, hidden_size=16,
+                               intermediate_size=32, vocab_size=64, max_positions=32)
+        configs = []
+        forward_batch = pipeline.forward_batch
+
+        def counting(seqs, weights, config):
+            configs.append(config)
+            return forward_batch(seqs, weights, config)
+
+        with mock.patch.object(pipeline, "forward_batch", counting):
+            bench_latency(tiny_config, larger, n_runs=11, n_seeds=1, seq_len=8)
+        assert configs.count(tiny_config) == configs.count(larger) == 3 + 12
+
     def test_self_comparison_band(self, tiny_config):
         _, _, speedup = bench_latency(tiny_config, tiny_config, n_runs=30,
                                       n_seeds=2, seq_len=8)

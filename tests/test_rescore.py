@@ -144,6 +144,25 @@ class TestBeamFiles:
         with pytest.raises(ValueError):
             read_beam_file(path)
 
+    @pytest.mark.parametrize("line, accepted", [
+        ("nan\ta", False),
+        ("-nan\ta\t0.5", False),
+        ("-1\tb\t7.5", False),
+        ("-1\tb\t-0.1", False),
+        ("-1\tb\tnan", False),
+        ("-inf\tc", True),
+        ("inf\tc\t0.0", True),
+        ("-1\tc\t1.0", True),
+    ])
+    def test_nan_score_or_out_of_range_non_hap_rejected(self, tmp_path, line, accepted):
+        path = tmp_path / "beam.tsv"
+        path.write_text(f"-0.5\tfine\n{line}\n", encoding="utf-8")
+        if accepted:
+            assert len(read_beam_file(path)) == 2
+        else:
+            with pytest.raises(ValueError, match="beam line 2"):
+                read_beam_file(path)
+
     def test_format_ranked(self):
         ranked = rescore_beam([OFFENSIVE, BENIGN], weight=1.0)
         lines = format_ranked(ranked)
