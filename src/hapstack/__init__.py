@@ -24,6 +24,7 @@ from .encoder import (
     count_parameters,
     forward_batch,
     init_random,
+    packed_logits,
     piccolo_config,
 )
 from .heatmap import AttentionHeatmap, compute_heatmap, render_heatmap

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import DEFAULT_MAX_LENGTH
 from .model_io import LoadedModel
 from .pipeline import HapScore, score_sentences
 from .wordpiece import split_lines
@@ -146,7 +147,7 @@ def balanced_sample(samples: list[LexiconSample], target_size: int,
 
 def mine_high_confidence(sentences: list[str], model: LoadedModel, min_hap: float,
                          limit: int, seed: int, batch_size: int = 32,
-                         max_length: int = 512) -> list[tuple[str, HapScore]]:
+                         max_length: int = DEFAULT_MAX_LENGTH) -> list[tuple[str, HapScore]]:
     """Score sentences and draw up to ``limit`` of those with
     hap >= ``min_hap`` (uniform, seeded); meant for downstream review."""
     if not 0.0 <= min_hap <= 1.0:

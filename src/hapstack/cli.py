@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bootstrap, heatmap, model_io, pipeline, rescore, wordpiece
-from .config import DEFAULT_HAP_THRESHOLD, DEFAULT_MAX_LENGTH, RunConfig
+from .config import DEFAULT_HAP_THRESHOLD, DEFAULT_MAX_LENGTH, DEFAULT_TOKEN_BUDGET, RunConfig
 from .encoder import EncoderConfig, forward_batch, init_random
 from .model_io import LoadedModel
 from .wordpiece import encode
@@ -71,17 +71,20 @@ def _load_model(args: argparse.Namespace) -> LoadedModel:
 
 
 def _read_input_lines(args: argparse.Namespace) -> list[str]:
-    if args.input:
-        return wordpiece.split_lines(Path(args.input).read_bytes().decode("utf-8"))
-    return wordpiece.split_lines(sys.stdin.read())
+    """The lines of --input or stdin, decoded as strict UTF-8 whatever the
+    locale, so both sources accept and refuse the same bytes."""
+    data = Path(args.input).read_bytes() if args.input else sys.stdin.buffer.read()
+    return wordpiece.split_lines(data.decode("utf-8"))
 
 
 def _write_lines(args: argparse.Namespace, lines: list[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
     if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -231,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="filter a document corpus",
                        description="Filter a document corpus. Documents are read into "
                        f"a window of {pipeline.WINDOW_SENTENCES} sentences, scored together "
-                       "in length-sorted batches, and their decisions written in input "
-                       "order. A window's batches run largest first, on one thread per "
+                       "in length-sorted, padding-free tasks, and their decisions written "
+                       "in input order. A window's tasks run largest first, on one thread per "
                        "usable CPU, with OpenBLAS pinned to one thread for the run; any "
                        "other BLAS or platform runs them in sequence.")
     _add_model_flags(p)
@@ -242,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-flagged-fraction", type=PROBABILITY, default=0.5)
     p.add_argument("--workers", type=POSITIVE_INT, default=1, help="accepted; has no effect")
     p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
-    p.add_argument("--token-budget", type=POSITIVE_INT, default=8192,
-                   help="most padded tokens per encoder call; a longer single "
-                   "sentence runs alone (default 8192)")
+    p.add_argument("--token-budget", type=POSITIVE_INT, default=DEFAULT_TOKEN_BUDGET,
+                   help="most real tokens per encoder call; a longer single "
+                   f"sentence runs alone (default {DEFAULT_TOKEN_BUDGET})")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("heatmap", help="render attention heatmaps for sentences")

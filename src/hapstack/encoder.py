@@ -2,20 +2,22 @@
 
 Post-layernorm residual blocks (multi-head self-attention then a gelu
 feed-forward), learned absolute position embeddings, a tanh pooler over
-the first position and a linear two-way classification head. Attention
-probabilities for every layer and head are returned alongside the
-logits, and padded positions are masked out of every attention column
-before the row softmax. The pooler reads the classification row (position
-0) alone, so past its attention probabilities the final block computes
-that row only; every layer's full attention is still returned. The gelu
+the first position and a linear two-way classification head. The gelu
 is the exact-erf form, with erf computed in this module by a float32
 rational approximation, so the package needs numpy alone.
+
+Two entry points share one block loop (``_blocks``): ``forward_batch``
+runs a padded batch, with pad columns masked out of every attention row,
+and returns every layer's attention probabilities with the logits;
+``packed_logits`` scores unpadded sequences of any lengths with no
+padding and keeps no attention.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -278,14 +280,110 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_ids(ids: np.ndarray, shortest: int, longest: int, config: EncoderConfig) -> None:
+    """Reject what no forward can run: an empty sequence, one longer than
+    ``max_positions`` or an id outside the vocabulary."""
+    if shortest == 0:
+        raise ValueError("cannot run the encoder on an empty sequence")
+    if longest > config.max_positions:
+        raise ValueError(f"sequence length {longest} exceeds max_positions "
+                         f"{config.max_positions}")
+    if ids.min() < 0 or ids.max() >= config.vocab_size:
+        raise ValueError("token id out of range for vocab_size "
+                         f"{config.vocab_size}: [{ids.min()}, {ids.max()}]")
+
+
+def _blocks(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
+            weights: ModelWeights, config: EncoderConfig,
+            attentions: list[np.ndarray] | None = None) -> np.ndarray:
+    """Run every block over ``x``, the embedded rows [N, hidden] of
+    sequences laid end to end, and return the final block's output on each
+    sequence's classification row (its first), [B, hidden].
+
+    ``runs`` cuts the rows, in order, into ``(b, t, bias)``: ``b``
+    sequences of length ``t`` and None or an additive [b, 1, 1, t] mask
+    bias. Projections, the FFN, gelu and layernorms run once per block
+    over all rows; attention runs per run as [b, heads, t, t]. Only the
+    pooler reads the final block's output, so past its K and V the final
+    block runs on the classification rows alone. When ``attentions`` is a
+    list, every block's probabilities of every run are appended to it, and
+    the final block computes every query row.
+    """
+    heads, head_dim, hidden = config.num_heads, config.head_dim, config.hidden_size
+    eps = config.layernorm_epsilon
+    scale = np.float32(1.0 / math.sqrt(head_dim))
+    spans = []
+    start = 0
+    for b, t, _ in runs:
+        spans.append((start, start + b * t))
+        start += b * t
+    cls = np.concatenate([np.arange(begin, stop, t) for (begin, stop), (_, t, _) in
+                          zip(spans, runs)])
+
+    final = len(weights.layers) - 1
+    for index, layer in enumerate(weights.layers):
+        last = index == final
+        cls_queries = last and attentions is None
+        q = (x[cls] if cls_queries else x) @ layer.q_weight + layer.q_bias
+        k = x @ layer.k_weight + layer.k_bias
+        v = x @ layer.v_weight + layer.v_bias
+        context = np.empty((len(cls) if last else len(x), hidden), dtype=np.float32)
+        row = 0  # the run's first sequence
+        for (begin, stop), (b, t, bias) in zip(spans, runs):
+            k_run = k[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 3, 1)
+            v_run = v[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
+            if cls_queries:
+                q_run = q[row:row + b].reshape(b, heads, 1, head_dim)
+            else:
+                q_run = q[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
+            scores = q_run @ k_run
+            scores *= scale
+            if bias is not None:
+                scores += bias
+            probs = _softmax(scores)
+            if attentions is not None:
+                attentions.append(probs)
+            if last:
+                context[row:row + b] = (probs[:, :, :1] @ v_run).reshape(b, hidden)
+            else:
+                context[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)[...] = (
+                    probs @ v_run)
+            del scores, probs  # freed before the next run or block allocates its scores
+            row += b
+        if last:
+            x = x[cls]
+        # Nested, so no temporary outlives its block.
+        x = _layernorm(x + (context @ layer.out_weight + layer.out_bias),
+                       layer.attn_ln_gamma, layer.attn_ln_beta, eps)
+        x = _layernorm(x + (_gelu_in_tiles(x @ layer.ffn_up_weight + layer.ffn_up_bias)
+                            @ layer.ffn_down_weight + layer.ffn_down_bias),
+                       layer.ffn_ln_gamma, layer.ffn_ln_beta, eps)
+    return x
+
+
+def _head(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """Logits [B, 2] of the final block's classification rows."""
+    pooled = np.tanh(x @ weights.pooler_weight + weights.pooler_bias)
+    return pooled @ weights.classifier_weight + weights.classifier_bias
+
+
+def _embed(ids: np.ndarray, positions: np.ndarray | slice, weights: ModelWeights,
+           config: EncoderConfig) -> np.ndarray:
+    x = weights.token_embedding[ids] + weights.position_embedding[positions]
+    return _layernorm(x.reshape(-1, config.hidden_size), weights.embedding_ln_gamma,
+                      weights.embedding_ln_beta, config.layernorm_epsilon)
+
+
 def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
                   config: EncoderConfig) -> list[ForwardOutput]:
-    """Run the encoder over a batch of equally padded sequences.
+    """Run the encoder over a batch of equally padded sequences, keeping
+    every layer's attention.
 
     A sequence's results do not depend on the rest of the batch or on its
     padding beyond float32 matmul noise (<< 1e-5 per logit); pad columns
     receive zero attention. Call it with ``[seq]`` to run one sequence.
-    Each output's arrays are views into the shared batch arrays.
+    Each output's arrays are views into the shared batch arrays. To score
+    without attention, use ``packed_logits``.
     """
     if not seqs:
         return []
@@ -293,67 +391,48 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
     for seq in seqs:
         if len(seq.ids) != t or len(seq.attention_mask) != t:
             raise ValueError("all sequences in a batch must share one padded length")
-    if t == 0:
-        raise ValueError("cannot run the encoder on an empty sequence")
-    if t > config.max_positions:
-        raise ValueError(f"sequence length {t} exceeds max_positions {config.max_positions}")
-
     ids = np.asarray([seq.ids for seq in seqs], dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError("token id out of range for vocab_size "
-                         f"{config.vocab_size}: [{ids.min()}, {ids.max()}]")
+    _check_ids(ids, t, t, config)
     mask = np.asarray([seq.attention_mask for seq in seqs], dtype=np.float32)
-
-    batch = ids.shape[0]
-    heads, head_dim, hidden = config.num_heads, config.head_dim, config.hidden_size
-    eps = config.layernorm_epsilon
-    scale = np.float32(1.0 / math.sqrt(head_dim))
     # [B, 1, 1, T] additive bias hiding pad columns from every query row.
     attn_bias = (np.float32(1.0) - mask)[:, None, None, :] * np.float32(ATTENTION_MASK_BIAS)
 
-    x = weights.token_embedding[ids] + weights.position_embedding[:t]
-    # Kept flattened to [B*T, hidden] so projections and the FFN run as one
-    # large GEMM instead of B stacked small ones.
-    x = x.reshape(batch * t, hidden)
-    x = _layernorm(x, weights.embedding_ln_gamma, weights.embedding_ln_beta, eps)
+    attentions: list[np.ndarray] = []
+    x = _blocks(_embed(ids, slice(0, t), weights, config), [(len(seqs), t, attn_bias)],
+                weights, config, attentions)
+    logits = _head(x, weights)
+    return [ForwardOutput(logits=logits[b],
+                          attentions=[layer_probs[b] for layer_probs in attentions])
+            for b in range(len(seqs))]
 
-    def split_heads(proj: np.ndarray) -> np.ndarray:
-        return proj.reshape(batch, t, heads, head_dim).transpose(0, 2, 1, 3)
 
-    attention_stack: list[np.ndarray] = []
-    final = len(weights.layers) - 1
-    for index, layer in enumerate(weights.layers):
-        q = split_heads(x @ layer.q_weight + layer.q_bias)
-        k = split_heads(x @ layer.k_weight + layer.k_bias)
-        v = split_heads(x @ layer.v_weight + layer.v_bias)
-        scores = q @ k.transpose(0, 1, 3, 2)
-        scores *= scale
-        scores += attn_bias
-        probs = _softmax(scores)
-        attention_stack.append(probs)
-        if index == final:
-            # Only the pooler reads the final block's output, and only its
-            # row 0: run the rest of the block on the [B, hidden] CLS rows.
-            context = (probs[:, :, :1] @ v).reshape(batch, hidden)
-            x = x.reshape(batch, t, hidden)[:, 0]
-        else:
-            context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch * t, hidden)
-        attn_out = context @ layer.out_weight + layer.out_bias
-        x = _layernorm(x + attn_out, layer.attn_ln_gamma, layer.attn_ln_beta, eps)
-        up = _gelu_in_tiles(x @ layer.ffn_up_weight + layer.ffn_up_bias)
-        down = up @ layer.ffn_down_weight + layer.ffn_down_bias
-        x = _layernorm(x + down, layer.ffn_ln_gamma, layer.ffn_ln_beta, eps)
+def packed_logits(seqs: list[TokenizedSequence], weights: ModelWeights,
+                  config: EncoderConfig) -> np.ndarray:
+    """Classifier logits [B, 2] of unpadded sequences of any lengths, in
+    input order, with no attention kept.
 
-    pooled = np.tanh(x @ weights.pooler_weight + weights.pooler_bias)
-    logits = pooled @ weights.classifier_weight + weights.classifier_bias
-
-    return [
-        ForwardOutput(
-            logits=logits[b],
-            attentions=[layer_probs[b] for layer_probs in attention_stack],
-        )
-        for b in range(batch)
-    ]
+    The sequences' tokens are laid end to end in order of length, with no
+    padding, so each block's projections and FFN run as one GEMM over every
+    real token, and attention runs per run of equal-length sequences with
+    no mask (see ``_blocks``). A row agrees with ``forward_batch([seq])``
+    within float32 matmul noise, whatever its batch-mates.
+    """
+    if not seqs:
+        return np.empty((0, config.num_labels), dtype=np.float32)
+    for seq in seqs:
+        if len(seq.attention_mask) != len(seq.ids) or 0 in seq.attention_mask:
+            raise ValueError("packed_logits takes unpadded sequences")
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
+    lengths = [len(seqs[i].ids) for i in order]
+    ids = np.fromiter(chain.from_iterable(seqs[i].ids for i in order), dtype=np.int64,
+                      count=sum(lengths))
+    _check_ids(ids, lengths[0], lengths[-1], config)
+    runs = [(len(list(group)), t, None) for t, group in groupby(lengths)]
+    positions = np.concatenate([np.tile(np.arange(t), b) for b, t, _ in runs])
+    logits = np.empty((len(seqs), config.num_labels), dtype=np.float32)
+    logits[order] = _head(_blocks(_embed(ids, positions, weights, config), runs,
+                                  weights, config), weights)
+    return logits
 
 
 def count_parameters(config: EncoderConfig) -> int:

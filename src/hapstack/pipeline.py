@@ -5,13 +5,13 @@ over the classifier's two logits (index 1 = HAP), and a document is
 discarded when too large a fraction of its sentences score at or above
 the threshold. Corpus runs read a line-delimited record format and score
 a bounded window of documents at a time, writing the decisions in input
-order. Sentences are batched in order of token length under a row and a
-token ceiling, and a batch stops growing where its padding would cost
-more than another call. A corpus run scores each window's batches largest
-first on a thread per usable CPU, with OpenBLAS pinned to one thread for
-the run; with one CPU, or a BLAS other than OpenBLAS on Linux, they run
-in sequence. Single requests always run in sequence and leave BLAS
-threading alone.
+order. Sentences are cut, in order of token length, into tasks under a
+row and a real-token ceiling, and each task runs as one padding-free
+encoder call (``packed_logits``). A corpus run scores each window's tasks
+largest first on a thread per usable CPU, with OpenBLAS pinned to one
+thread for the run; with one CPU, or a BLAS other than OpenBLAS on Linux,
+they run in sequence. Single requests always run in sequence and leave
+BLAS threading alone.
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
-from .encoder import EncoderConfig, count_parameters, forward_batch, init_random
+from .config import DEFAULT_MAX_LENGTH, DEFAULT_TOKEN_BUDGET, RunConfig
+from .encoder import EncoderConfig, count_parameters, forward_batch, init_random, packed_logits
 from .model_io import LoadedModel
-from .wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence
+# pad_sequence is not called here; it stays importable from this module
+# because perfbench/tracing.py wraps it by this name.
+from .wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -53,11 +55,6 @@ MALFORMED_LINES_REPORTED = 5
 # A corpus window is scored once it holds this many sentences: enough for
 # cross-document batches, small enough that memory stays flat.
 WINDOW_SENTENCES = 256
-# The fixed cost of one forward_batch call on the 4-layer model, in tokens
-# of batch work: a least-squares fit of its time over 29 batch shapes gave
-# 2-3 ms per call at 200-250 us per token. A batch takes a longer sequence
-# only while the pad tokens that adds cost less than starting a new batch.
-CALL_COST_TOKENS = 12
 # (set, get) thread-count functions of OpenBLAS, in the order they are
 # tried: numpy's wheels export the scipy_openblas 64-bit-integer names,
 # other builds the 64-bit or the plain ones.
@@ -148,25 +145,20 @@ def softmax_pair(logits: np.ndarray) -> HapScore:
 
 def _batch_indices(seqs: list[TokenizedSequence], batch_size: int,
                    token_budget: int) -> list[list[int]]:
-    """Group indices into batches in order of token length (stable).
-
-    A batch holds at most ``batch_size`` rows and, unless it is one row,
-    at most ``token_budget`` padded tokens. It also stops growing when the
-    next, longer sequence would add more pad tokens than
-    ``CALL_COST_TOKENS``.
-    """
+    """Cut the indices, in order of token length (stable), into tasks of at
+    most ``batch_size`` rows and, unless a task is one row, at most
+    ``token_budget`` real tokens."""
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
-    batches: list[list[int]] = []
-    width = 0
+    tasks: list[list[int]] = []
+    tokens = 0
     for idx in order:
         length = len(seqs[idx].ids)
-        rows = len(batches[-1]) if batches else 0
-        if (not rows or rows >= batch_size or (rows + 1) * length > token_budget
-                or rows * (length - width) > CALL_COST_TOKENS):
-            batches.append([])
-        batches[-1].append(idx)
-        width = length
-    return batches
+        if not tasks or len(tasks[-1]) >= batch_size or tokens + length > token_budget:
+            tasks.append([])
+            tokens = 0
+        tasks[-1].append(idx)
+        tokens += length
+    return tasks
 
 
 @cache
@@ -200,7 +192,7 @@ def _scoring_pool() -> Iterator[ThreadPoolExecutor | None]:
     to one thread until the last overlapping run leaves; None, for the
     sequential path, with one CPU or no OpenBLAS found.
 
-    Whole batches on every core beat one batch whose GEMMs use every core:
+    Whole tasks on every core beat one task whose GEMMs use every core:
     a forward's elementwise stages run on one core, and two pool threads
     on a BLAS that keeps its own threads contend for the same cores.
     """
@@ -227,16 +219,19 @@ def _scoring_pool() -> Iterator[ThreadPoolExecutor | None]:
 
 
 def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
-                    max_length: int = 512, token_budget: int = 8192,
+                    max_length: int = DEFAULT_MAX_LENGTH,
+                    token_budget: int = DEFAULT_TOKEN_BUDGET,
                     pool: ThreadPoolExecutor | None = None) -> list[HapScore]:
     """Score each sentence; output order matches input order and the
-    results are independent of batch composition within 1e-5.
+    results are independent of task composition within 1e-5.
 
     Each distinct token-id sequence is run through the encoder once and
-    its score shared by every sentence that encodes to it. ``batch_size``
-    and ``token_budget`` are ceilings on a batch's rows and padded tokens.
-    Batches run largest first (rows x width), on ``pool`` when one is
-    given, so a long batch does not run last and alone.
+    its score shared by every sentence that encodes to it. The distinct
+    sequences are cut, in order of length, into tasks of at most
+    ``batch_size`` rows and ``token_budget`` real tokens (see
+    ``_batch_indices``); each task is one ``packed_logits`` call, with no
+    padding. Tasks run largest first (by tokens), on ``pool`` when one is
+    given, so a long task does not run last and alone.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -251,19 +246,15 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
         if slot == len(seqs):
             seqs.append(seq)
         slots.append(slot)
-    batches = sorted(_batch_indices(seqs, batch_size, token_budget), reverse=True,
-                     key=lambda batch: len(batch) * max(len(seqs[i].ids) for i in batch))
+    tasks = sorted(_batch_indices(seqs, batch_size, token_budget), reverse=True,
+                   key=lambda task: sum(len(seqs[i].ids) for i in task))
 
-    def run(batch: list[int]) -> list[np.ndarray]:
-        # Logits only: a finished batch waiting for its turn in map order
-        # must not hold every layer's attention.
-        width = max(len(seqs[i].ids) for i in batch)
-        padded = [pad_sequence(seqs[i], width, vocab) for i in batch]
-        return [output.logits for output in forward_batch(padded, weights, config)]
+    def run(task: list[int]) -> np.ndarray:
+        return packed_logits([seqs[i] for i in task], weights, config)
 
     scores: list[HapScore | None] = [None] * len(seqs)
-    for batch, logits in zip(batches, pool.map(run, batches) if pool else map(run, batches)):
-        for i, row in zip(batch, logits):
+    for task, logits in zip(tasks, pool.map(run, tasks) if pool else map(run, tasks)):
+        for i, row in zip(task, logits):
             scores[i] = softmax_pair(row)
     return [scores[slot] for slot in slots]  # type: ignore[misc]
 
@@ -301,7 +292,8 @@ def _decide_window(window: list[tuple[Document, list[str]]], model: LoadedModel,
 
 def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
                     max_flagged_fraction: float, batch_size: int = 32,
-                    max_length: int = 512, token_budget: int = 8192) -> FilterDecision:
+                    max_length: int = DEFAULT_MAX_LENGTH,
+                    token_budget: int = DEFAULT_TOKEN_BUDGET) -> FilterDecision:
     """Decide one document as a window of one; ``RunConfig`` checks the settings."""
     run_config = RunConfig(batch_size=batch_size, max_length=max_length,
                            hap_threshold=hap_threshold, max_flagged_fraction=max_flagged_fraction,
@@ -341,11 +333,11 @@ def run_corpus(input_path: str | Path, output_path: str | Path,
 
     Only LF ends a line; a CR stays in the text. Parsed documents gather in
     a window until it holds ``WINDOW_SENTENCES`` sentences; the window's
-    sentences are then scored together, so batches span documents, and its
+    sentences are then scored together, so tasks span documents, and its
     decisions are written in input order. Memory is bounded by the window,
     not the corpus. Malformed lines are counted, skipped and reported in one
     warning. A line that is not valid UTF-8 raises ``UnicodeDecodeError``
-    after every earlier decision is written. A window's batches run on the
+    after every earlier decision is written. A window's tasks run on the
     run's scoring pool (see ``_scoring_pool``); the OpenBLAS thread count is
     restored when the run returns or raises.
     """

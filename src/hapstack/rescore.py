@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .config import DEFAULT_MAX_LENGTH
 from .model_io import LoadedModel
 from .pipeline import score_sentences
 from .wordpiece import split_lines
@@ -37,7 +38,7 @@ def combine_scores(hypothesis: Hypothesis, weight: float = 1.0) -> Hypothesis:
 
 def rescore_beam(hypotheses: list[Hypothesis], model: LoadedModel | None = None,
                  weight: float = 1.0, batch_size: int = 32,
-                 max_length: int = 512) -> list[Hypothesis]:
+                 max_length: int = DEFAULT_MAX_LENGTH) -> list[Hypothesis]:
     """Score any hypotheses lacking a preset non_hap, combine, and sort by
     new_score descending (stable; ties keep input rank)."""
     if not hypotheses:

@@ -1,6 +1,10 @@
 """CLI tests driving main() in-process: exit codes, formats, end-to-end runs."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hapstack.wordpiece import build_ascii_vocab
 from conftest import read_raw_bundle, write_raw_bundle
 
 TINY_SPEC = "2,2,8,16,256,64"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -24,7 +29,10 @@ def bundle(tmp_path):
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
     if monkeypatch is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        # A byte stream under a text layer, like the real stdin: the CLI
+        # reads its bytes.
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin_text.encode("utf-8")),
+                                                          encoding="utf-8"))
     code = main(argv)
     captured = capsys.readouterr() if capsys else None
     return code, captured
@@ -52,6 +60,30 @@ class TestScore:
         assert code == 0
         assert from_file.out.count("\n") == from_stdin.out.count("\n") == 1
         assert from_file.out == from_stdin.out
+
+    @pytest.mark.parametrize("data", [b"a\n\xff\n", "caf\u00e9 \u2014 na\u00efve.\n".encode()],
+                             ids=["invalid", "non-ascii"])
+    def test_stdin_and_input_file_agree(self, bundle, tmp_path, data):
+        # A real process, so stdin is decoded the way the interpreter sets it
+        # up under the C locale, not through a test double.
+        src = tmp_path / "in.txt"
+        src.write_bytes(data)
+        env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env.pop("PYTHONIOENCODING", None)
+        env.pop("PYTHONUTF8", None)
+        command = [sys.executable, "-m", "hapstack.cli", "score", "-m", str(bundle)]
+        from_stdin = subprocess.run(command, input=data, env=env, capture_output=True,
+                                    timeout=120)
+        from_file = subprocess.run(command + ["--input", str(src)], env=env,
+                                   capture_output=True, timeout=120)
+        assert from_stdin.returncode == from_file.returncode
+        assert from_stdin.stdout == from_file.stdout
+        if data.startswith(b"a\n"):
+            assert from_stdin.returncode == 1 and from_stdin.stdout == b""
+        else:
+            assert from_stdin.returncode == 0
+            assert from_stdin.stdout.endswith(b"\t" + data)
 
     def test_empty_stdin(self, bundle, monkeypatch, capsys):
         code, captured = run_cli(["score", "--model", str(bundle)], "",

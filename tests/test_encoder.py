@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from hapstack.encoder import (
     forward_batch,
     init_random,
     named_tensors,
+    packed_logits,
     piccolo_config,
 )
 from hapstack.wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence
@@ -168,6 +170,16 @@ class TestForwardBatch:
             forward_batch([make_seq([2, 3]), make_seq([2, 5, 3])], w, tiny_config)
 
 
+def scaled_weights(config, seed):
+    """Random weights at 10x the init scale (layernorms left alone): O(1)
+    logits and far-from-uniform attention, so a misplaced row shows."""
+    weights = init_random(config, seed)
+    for name, tensor in named_tensors(weights, config).items():
+        if "_ln_" not in name:
+            tensor *= np.float32(10.0)
+    return weights
+
+
 class TestOracle:
     def test_matches_naive_reference(self):
         config = EncoderConfig(num_layers=2, num_heads=2, hidden_size=8,
@@ -196,10 +208,7 @@ class TestOracle:
                                intermediate_size=16, vocab_size=32, max_positions=16)
         rng = np.random.default_rng(num_layers)
         for seed in range(2):
-            weights = init_random(config, seed)
-            for name, tensor in named_tensors(weights, config).items():
-                if "_ln_" not in name:
-                    tensor *= np.float32(10.0)
+            weights = scaled_weights(config, seed)
             t = int(rng.integers(4, 9))
             lengths = [t, 1, *rng.integers(2, t + 1, size=3).tolist()]
             seqs = [make_seq(rng.integers(0, config.vocab_size, size=n).tolist() + [0] * (t - n),
@@ -215,6 +224,69 @@ class TestOracle:
                     assert got.shape == (config.num_heads, t, t)
                     np.testing.assert_allclose(got[:, :n, :n], np.asarray(ref)[:, :n, :n],
                                                atol=1e-5)
+
+
+class TestPackedLogits:
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_matches_reference_on_mixed_lengths(self, num_layers):
+        config = EncoderConfig(num_layers=num_layers, num_heads=2, hidden_size=8,
+                               intermediate_size=16, vocab_size=32, max_positions=16)
+        rng = np.random.default_rng(10 + num_layers)
+        lengths = [5, 2, config.max_positions, 5, 2, 9, 3, config.max_positions]
+        seqs = [make_seq(rng.integers(0, config.vocab_size, size=n).tolist()) for n in lengths]
+        weights = scaled_weights(config, num_layers)
+        logits = packed_logits(seqs, weights, config)
+        assert logits.shape == (len(seqs), 2) and logits.dtype == np.float32
+        for seq, row in zip(seqs, logits):
+            ref_logits, _, _ = reference_forward(seq.ids, seq.attention_mask, weights, config)
+            np.testing.assert_allclose(row, ref_logits, atol=1e-5)
+
+    def test_row_equals_batch_of_one_whatever_its_batch_mates(self):
+        config = EncoderConfig(num_layers=2, num_heads=4, hidden_size=64,
+                               intermediate_size=128, vocab_size=64, max_positions=64)
+        weights = init_random(config, 3)
+        rng = np.random.default_rng(3)
+        seqs = [make_seq(rng.integers(0, config.vocab_size, size=n).tolist())
+                for n in (2, 17, 5, 64, 17, 9, 5, 2, 33)]
+        alone = np.stack([forward_batch([seq], weights, config)[0].logits for seq in seqs])
+        for trial in range(4):
+            picked = rng.permutation(len(seqs))[:int(rng.integers(1, len(seqs) + 1))]
+            got = packed_logits([seqs[i] for i in picked], weights, config)
+            np.testing.assert_allclose(got, alone[picked], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("ids", [[2, 256, 3], [2] * 65], ids=["id", "length"])
+    def test_rejects_what_forward_batch_rejects(self, tiny_config, ids):
+        w = init_random(tiny_config, 0)
+        with pytest.raises(ValueError) as batched:
+            forward_batch([make_seq(ids)], w, tiny_config)
+        with pytest.raises(ValueError) as packed:
+            packed_logits([make_seq(ids)], w, tiny_config)
+        assert str(packed.value) == str(batched.value)
+        with pytest.raises(ValueError, match="out of range|exceeds max_positions"):
+            packed_logits([make_seq([2, 3]), make_seq(ids)], w, tiny_config)
+
+    def test_rejects_empty_and_padded_sequences(self, tiny_config):
+        w = init_random(tiny_config, 0)
+        with pytest.raises(ValueError, match="empty"):
+            packed_logits([make_seq([2, 3]), make_seq([])], w, tiny_config)
+        with pytest.raises(ValueError, match="unpadded"):
+            packed_logits([make_seq([2, 5, 0], [1, 1, 0])], w, tiny_config)
+        assert packed_logits([], w, tiny_config).shape == (0, 2)
+
+    def test_long_sentence_keeps_no_attention(self):
+        # Four layers of [12, 512, 512] float32 attention take 48 MiB; the
+        # packed forward holds one layer's scores (12 MiB) at a time.
+        config = piccolo_config(256)
+        weights = init_random(config, 0)
+        seq = make_seq(np.random.default_rng(0).integers(4, 256, size=512).tolist())
+        packed_logits([make_seq([2, 3])], weights, config)  # first-call allocations
+        tracemalloc.start()
+        try:
+            packed_logits([seq], weights, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestElementwiseStages:

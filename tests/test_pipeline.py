@@ -45,15 +45,15 @@ from conftest import random_words
 @contextlib.contextmanager
 def forward_rows(measure=len):
     """Record ``measure(seqs)``, by default the row count, of every
-    forward_batch call the pipeline makes."""
+    packed_logits call the pipeline makes."""
     rows = []
-    forward_batch = pipeline.forward_batch
+    packed_logits = pipeline.packed_logits
 
     def counting(seqs, *args):
         rows.append(measure(seqs))
-        return forward_batch(seqs, *args)
+        return packed_logits(seqs, *args)
 
-    with mock.patch.object(pipeline, "forward_batch", counting):
+    with mock.patch.object(pipeline, "packed_logits", counting):
         yield rows
 
 
@@ -166,7 +166,7 @@ class TestScoreSentences:
     def test_batches_run_largest_first(self, tiny_model):
         rng = np.random.default_rng(13)
         sentences = [random_words(rng, n) for n in (1, 9, 2, 5, 3, 8, 1, 4, 7, 2, 6, 3)]
-        with forward_rows(lambda seqs: len(seqs) * len(seqs[0].ids)) as sizes:
+        with forward_rows(lambda seqs: sum(len(seq.ids) for seq in seqs)) as sizes:
             score_sentences(sentences, tiny_model, batch_size=3)
         assert len(set(sizes)) >= 3
         assert sizes == sorted(sizes, reverse=True)
@@ -179,6 +179,23 @@ class TestScoreSentences:
         assert scores[0] == scores[2] == scores[3]
         alone = score_sentences(["other words."], tiny_model, batch_size=1)
         assert abs(scores[1].hap - alone[0].hap) < 1e-5
+
+    def test_beam_is_one_encoder_call(self, tiny_model):
+        rng = np.random.default_rng(14)
+        beam = [Hypothesis(random_words(rng, int(rng.integers(2, 6))), -float(i))
+                for i in range(8)]
+        calls = []
+
+        def spy(forward):
+            def counting(seqs, *args):
+                calls.append(len(seqs))
+                return forward(seqs, *args)
+            return counting
+
+        with mock.patch.multiple(pipeline, packed_logits=spy(pipeline.packed_logits),
+                                 forward_batch=spy(pipeline.forward_batch)):
+            rescore_beam(beam, tiny_model, batch_size=32)
+        assert calls == [8]
 
     def test_bad_batch_size(self, tiny_model):
         with pytest.raises(ValueError):
@@ -201,15 +218,14 @@ class TestBatchIndices:
         assert [lengths[i] for i in flat] == sorted(lengths)
         for batch in batches:
             assert 1 <= len(batch) <= batch_size
-            width = max(lengths[i] for i in batch)
-            assert len(batch) == 1 or len(batch) * width <= token_budget
+            assert len(batch) == 1 or sum(lengths[i] for i in batch) <= token_budget
 
-    def test_stops_where_padding_costs_more_than_a_call(self):
-        cost = pipeline.CALL_COST_TOKENS
-        # cost + 1 pad tokens start a new batch; cost pad tokens do not
-        lengths = [10] * (cost + 1) + [11]
-        assert _batch_indices(_seqs(lengths), 64, 8192) == [list(range(cost + 1)), [cost + 1]]
-        assert _batch_indices(_seqs([10] * cost + [11]), 64, 8192) == [list(range(cost + 1))]
+    def test_cut_at_token_budget(self):
+        # Real tokens, not rows x width: 10 + 11 + 12 = 33 fit a budget of 33,
+        # one token less starts a new task, and a longer row runs alone.
+        lengths = [10, 11, 12, 12, 600]
+        assert _batch_indices(_seqs(lengths), 64, 33) == [[0, 1, 2], [3], [4]]
+        assert _batch_indices(_seqs(lengths), 64, 32) == [[0, 1], [2, 3], [4]]
 
 
 class TestFilterDocument:
@@ -328,7 +344,7 @@ class TestRunCorpus:
         write_corpus(src, docs)
         threads, lock = [], threading.Lock()
         both_in = threading.Barrier(2, timeout=30)
-        forward_batch = pipeline.forward_batch
+        packed_logits = pipeline.packed_logits
 
         def recording(seqs, *args):
             with lock:
@@ -336,10 +352,10 @@ class TestRunCorpus:
                 first_two = len(threads) <= 2
             if first_two:
                 both_in.wait()  # passes only with two forwards running at once
-            return forward_batch(seqs, *args)
+            return packed_logits(seqs, *args)
 
         pooled, sequential = tmp_path / "pooled.tsv", tmp_path / "sequential.tsv"
-        with two_cpus(), mock.patch.object(pipeline, "forward_batch", recording):
+        with two_cpus(), mock.patch.object(pipeline, "packed_logits", recording):
             s1 = run_corpus(src, pooled, tiny_model, RunConfig(batch_size=4))
         with mock.patch.object(pipeline, "_openblas_threads", lambda: None):
             with forward_rows() as rows:
