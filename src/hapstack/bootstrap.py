@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import DEFAULT_MAX_LENGTH
 from .model_io import LoadedModel
 from .pipeline import HapScore, score_sentences
-from .wordpiece import split_lines
+from .wordpiece import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +48,7 @@ class Lexicon:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """One term per line, UTF-8; blank lines are ignored."""
-    lines = split_lines(Path(path).read_bytes().decode("utf-8"))
-    return Lexicon(terms=tuple(line for line in lines if line))
+    return Lexicon(terms=tuple(line for line in read_lines(path) if line))
 
 
 @dataclass

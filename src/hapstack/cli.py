@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from . import bootstrap, heatmap, model_io, pipeline, rescore, wordpiece
-from .config import DEFAULT_HAP_THRESHOLD, DEFAULT_MAX_LENGTH, DEFAULT_TOKEN_BUDGET, RunConfig
+from .config import DEFAULT_HAP_THRESHOLD, DEFAULT_MAX_LENGTH, RunConfig
 from .encoder import EncoderConfig, forward_batch, init_random
 from .model_io import LoadedModel
-from .wordpiece import encode
+from .wordpiece import encode, read_lines
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -70,17 +70,11 @@ def _load_model(args: argparse.Namespace) -> LoadedModel:
         raise CommandError(f"cannot load model {path}: {exc}", USAGE_ERROR) from exc
 
 
-def _read_input_lines(args: argparse.Namespace) -> list[str]:
-    """The lines of --input or stdin, decoded as strict UTF-8 whatever the
-    locale, so both sources accept and refuse the same bytes."""
-    data = Path(args.input).read_bytes() if args.input else sys.stdin.buffer.read()
-    return wordpiece.split_lines(data.decode("utf-8"))
-
-
-def _write_lines(args: argparse.Namespace, lines: list[str]) -> None:
+def _write_lines(lines: list[str], path: str | None = None) -> None:
+    """Write LF-terminated lines as UTF-8 to ``path``, or to stdout when None."""
     data = "".join(line + "\n" for line in lines).encode("utf-8")
-    if getattr(args, "output", None):
-        Path(args.output).write_bytes(data)
+    if path:
+        Path(path).write_bytes(data)
     else:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
@@ -89,11 +83,11 @@ def _write_lines(args: argparse.Namespace, lines: list[str]) -> None:
 
 def cmd_score(args: argparse.Namespace) -> int:
     model = _load_model(args)
-    sentences = _read_input_lines(args)
+    sentences = read_lines(args.input)
     scores = pipeline.score_sentences(sentences, model, args.batch_size,
                                       max_length=args.max_length)
-    _write_lines(args, [f"{s.hap:.6f}\t{s.non_hap:.6f}\t{sentence}"
-                        for sentence, s in zip(sentences, scores)])
+    _write_lines([f"{s.hap:.6f}\t{s.non_hap:.6f}\t{sentence}"
+                  for sentence, s in zip(sentences, scores)], args.output)
     return 0
 
 
@@ -104,17 +98,15 @@ def cmd_filter(args: argparse.Namespace) -> int:
         max_length=args.max_length,
         hap_threshold=args.threshold,
         max_flagged_fraction=args.max_flagged_fraction,
-        token_budget=args.token_budget,
     )
-    summary = pipeline.run_corpus(args.input, args.output, model, run_config)
-    sys.stdout.write("".join(line + "\n" for line in summary.to_lines()))
+    _write_lines(pipeline.run_corpus(args.input, args.output, model, run_config).to_lines())
     return 0
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     model = _load_model(args)
     config, weights, vocab = model
-    sentences = [line for line in _read_input_lines(args) if line]
+    sentences = [line for line in read_lines(args.input) if line]
     rendered = []
     for sentence in sentences:
         seq = encode(sentence, vocab, min(args.max_length, config.max_positions),
@@ -122,7 +114,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         output = forward_batch([seq], weights, config)[0]
         hm = heatmap.compute_heatmap(output, seq)
         rendered.append(heatmap.render_heatmap(hm, format=args.format).rstrip("\n"))
-    _write_lines(args, ["\n\n".join(rendered)] if rendered else [])
+    _write_lines(["\n\n".join(rendered)] if rendered else [], args.output)
     return 0
 
 
@@ -133,19 +125,19 @@ def cmd_rescore(args: argparse.Namespace) -> int:
         model = _load_model(args)
     ranked = rescore.rescore_beam(hypotheses, model, weight=args.rescore_lambda,
                                   batch_size=args.batch_size, max_length=args.max_length)
-    _write_lines(args, rescore.format_ranked(ranked))
+    _write_lines(rescore.format_ranked(ranked), args.output)
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    sentences = _read_input_lines(args)
+    sentences = read_lines(args.input)
     if args.mine:
         model = _load_model(args)
         mined = bootstrap.mine_high_confidence(
             sentences, model, min_hap=args.min_hap, limit=args.limit,
             seed=args.seed, batch_size=args.batch_size, max_length=args.max_length)
-        _write_lines(args, [f"{score.hap:.6f}\t{score.non_hap:.6f}\t{sentence}"
-                            for sentence, score in mined])
+        _write_lines([f"{score.hap:.6f}\t{score.non_hap:.6f}\t{sentence}"
+                      for sentence, score in mined], args.output)
         return 0
     if not args.lexicon:
         raise CommandError("--lexicon is required unless --mine is given", USAGE_ERROR)
@@ -154,10 +146,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
                                      case_fold=args.case_fold)
     if args.target_size is not None:
         samples = bootstrap.balanced_sample(samples, args.target_size, args.seed)
-    _write_lines(args, [
-        f"{s.label.value}\t{s.sentence}\t{';'.join(s.matched_terms)}"
-        for s in samples
-    ])
+    _write_lines([f"{s.label.value}\t{s.sentence}\t{';'.join(s.matched_terms)}"
+                  for s in samples], args.output)
     return 0
 
 
@@ -189,7 +179,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             args.corpus, config_a, config_b, batch_size=args.batch_size, seed=args.seed)
     lines = _format_bench_report(report_a) + _format_bench_report(report_b)
     lines.append(f"speedup={speedup:.4f}")
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    _write_lines(lines)
     return 0
 
 
@@ -234,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="filter a document corpus",
                        description="Filter a document corpus. Documents are read into "
                        f"a window of {pipeline.WINDOW_SENTENCES} sentences, scored together "
-                       "in length-sorted, padding-free tasks, and their decisions written "
+                       "in length-sorted, padding-free tasks of at most --batch-size rows and "
+                       f"{pipeline.TOKEN_BUDGET} real tokens (a longer sentence runs alone), "
+                       "and their decisions written "
                        "in input order. A window's tasks run largest first, on one thread per "
                        "usable CPU, with OpenBLAS pinned to one thread for the run; any "
                        "other BLAS or platform runs them in sequence.")
@@ -244,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=PROBABILITY, default=DEFAULT_HAP_THRESHOLD)
     p.add_argument("--max-flagged-fraction", type=PROBABILITY, default=0.5)
     p.add_argument("--workers", type=POSITIVE_INT, default=1, help="accepted; has no effect")
-    p.add_argument("--dynamic-batching", action="store_true", help="accepted; has no effect")
-    p.add_argument("--token-budget", type=POSITIVE_INT, default=DEFAULT_TOKEN_BUDGET,
-                   help="most real tokens per encoder call; a longer single "
-                   f"sentence runs alone (default {DEFAULT_TOKEN_BUDGET})")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("heatmap", help="render attention heatmaps for sentences")

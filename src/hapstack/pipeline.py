@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_MAX_LENGTH, DEFAULT_TOKEN_BUDGET, RunConfig
+from .config import DEFAULT_MAX_LENGTH, RunConfig
 from .encoder import EncoderConfig, count_parameters, forward_batch, init_random, packed_logits
 from .model_io import LoadedModel
 # pad_sequence is not called here; it stays importable from this module
@@ -55,6 +55,14 @@ MALFORMED_LINES_REPORTED = 5
 # A corpus window is scored once it holds this many sentences: enough for
 # cross-document batches, small enough that memory stays flat.
 WINDOW_SENTENCES = 256
+# Most real tokens per scoring task, unless the task is one sentence.
+# Larger tasks run fewer, larger GEMMs, but a window's longest task then
+# runs alone while the other pool threads wait. Measured with the 4-layer
+# model on a 2-core VM, in one process: on short web documents 512 ran
+# 3-8% faster than 256-1024 and 15% faster than 8192; on ~100-sentence
+# documents 256-1024 were within 3% of 512 and 8192 ran 12% faster, while
+# separate-process runs there put 512 ahead of 1024 and 8192.
+TOKEN_BUDGET = 512
 # (set, get) thread-count functions of OpenBLAS, in the order they are
 # tried: numpy's wheels export the scipy_openblas 64-bit-integer names,
 # other builds the 64-bit or the plain ones.
@@ -147,7 +155,7 @@ def _batch_indices(seqs: list[TokenizedSequence], batch_size: int,
                    token_budget: int) -> list[list[int]]:
     """Cut the indices, in order of token length (stable), into tasks of at
     most ``batch_size`` rows and, unless a task is one row, at most
-    ``token_budget`` real tokens."""
+    ``token_budget`` real tokens. Scoring passes ``TOKEN_BUDGET``."""
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
     tasks: list[list[int]] = []
     tokens = 0
@@ -220,7 +228,6 @@ def _scoring_pool() -> Iterator[ThreadPoolExecutor | None]:
 
 def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
                     max_length: int = DEFAULT_MAX_LENGTH,
-                    token_budget: int = DEFAULT_TOKEN_BUDGET,
                     pool: ThreadPoolExecutor | None = None) -> list[HapScore]:
     """Score each sentence; output order matches input order and the
     results are independent of task composition within 1e-5.
@@ -228,7 +235,7 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
     Each distinct token-id sequence is run through the encoder once and
     its score shared by every sentence that encodes to it. The distinct
     sequences are cut, in order of length, into tasks of at most
-    ``batch_size`` rows and ``token_budget`` real tokens (see
+    ``batch_size`` rows and ``TOKEN_BUDGET`` real tokens (see
     ``_batch_indices``); each task is one ``packed_logits`` call, with no
     padding. Tasks run largest first (by tokens), on ``pool`` when one is
     given, so a long task does not run last and alone.
@@ -246,7 +253,7 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
         if slot == len(seqs):
             seqs.append(seq)
         slots.append(slot)
-    tasks = sorted(_batch_indices(seqs, batch_size, token_budget), reverse=True,
+    tasks = sorted(_batch_indices(seqs, batch_size, TOKEN_BUDGET), reverse=True,
                    key=lambda task: sum(len(seqs[i].ids) for i in task))
 
     def run(task: list[int]) -> np.ndarray:
@@ -277,8 +284,7 @@ def _decide_window(window: list[tuple[Document, list[str]]], model: LoadedModel,
     window order: the one place scored sentences become decisions."""
     scores = iter(score_sentences(
         [sentence for _, sentences in window for sentence in sentences], model,
-        run_config.batch_size, max_length=run_config.max_length,
-        token_budget=run_config.token_budget, pool=pool))
+        run_config.batch_size, max_length=run_config.max_length, pool=pool))
     decisions = []
     for doc, sentences in window:
         doc_scores = list(islice(scores, len(sentences)))
@@ -292,12 +298,10 @@ def _decide_window(window: list[tuple[Document, list[str]]], model: LoadedModel,
 
 def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
                     max_flagged_fraction: float, batch_size: int = 32,
-                    max_length: int = DEFAULT_MAX_LENGTH,
-                    token_budget: int = DEFAULT_TOKEN_BUDGET) -> FilterDecision:
+                    max_length: int = DEFAULT_MAX_LENGTH) -> FilterDecision:
     """Decide one document as a window of one; ``RunConfig`` checks the settings."""
     run_config = RunConfig(batch_size=batch_size, max_length=max_length,
-                           hap_threshold=hap_threshold, max_flagged_fraction=max_flagged_fraction,
-                           token_budget=token_budget)
+                           hap_threshold=hap_threshold, max_flagged_fraction=max_flagged_fraction)
     return _decide_window([(doc, split_sentences(doc.text))], model, run_config)[0]
 
 

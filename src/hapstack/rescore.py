@@ -15,7 +15,7 @@ from pathlib import Path
 from .config import DEFAULT_MAX_LENGTH
 from .model_io import LoadedModel
 from .pipeline import score_sentences
-from .wordpiece import split_lines
+from .wordpiece import read_lines
 
 
 @dataclass
@@ -57,17 +57,20 @@ def rescore_beam(hypotheses: list[Hypothesis], model: LoadedModel | None = None,
 
 
 def read_beam_file(path: str | Path) -> list[Hypothesis]:
-    """Parse ``<original_score><TAB><text>[<TAB><non_hap>]`` lines. A NaN
-    original score, or a non_hap outside [0, 1], raises ``ValueError``
-    naming the line; an infinite original score sorts and is accepted."""
+    """Parse ``<original_score><TAB><text>[<TAB><non_hap>]`` lines. A
+    non-numeric or NaN original score, or a non_hap that is not a number in
+    [0, 1], raises ``ValueError`` naming the line; an infinite original
+    score sorts and is accepted."""
     hypotheses = []
-    lines = split_lines(Path(path).read_bytes().decode("utf-8"))
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise ValueError(f"beam line {lineno} has {len(parts)} fields, expected 2 or 3")
-        original = float(parts[0])
-        non_hap = float(parts[2]) if len(parts) == 3 else None
+        try:
+            original = float(parts[0])
+            non_hap = float(parts[2]) if len(parts) == 3 else None
+        except ValueError as exc:
+            raise ValueError(f"beam line {lineno}: {exc}") from None
         if math.isnan(original):
             raise ValueError(f"beam line {lineno}: original score is NaN")
         if non_hap is not None and not 0.0 <= non_hap <= 1.0:

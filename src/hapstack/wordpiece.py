@@ -8,6 +8,7 @@ wordpieces back to the whitespace-level words they came from.
 
 from __future__ import annotations
 
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,18 +119,26 @@ def pre_tokenize(text: str) -> list[str]:
 
 
 def split_lines(text: str) -> list[str]:
-    """Lines of ``text``: only LF ends a line, and one final LF is dropped."""
-    text = text.removesuffix("\n")
-    return text.split("\n") if text else []
+    """Lines of ``text``: only LF ends a line, and one final LF is dropped,
+    so a lone LF is one empty line and empty text is no line."""
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+def read_lines(path: str | Path | None) -> list[str]:
+    """The lines (see ``split_lines``) of the file at ``path``, or of stdin
+    when None, decoded as strict UTF-8 whatever the locale, so every text
+    input accepts and refuses the same bytes."""
+    data = sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
+    return split_lines(data.decode("utf-8"))
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
     """Load a one-token-per-line vocabulary file (id = 0-based line number).
 
-    The file is read bit-exactly (see ``split_lines``): tokens keep any
+    The file is read bit-exactly (see ``read_lines``): tokens keep any
     surrounding characters.
     """
-    return Vocabulary(tuple(split_lines(Path(path).read_bytes().decode("utf-8"))))
+    return Vocabulary(tuple(read_lines(path)))
 
 
 def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
@@ -187,18 +196,14 @@ def encode(text: str, vocab: Vocabulary, max_length: int,
             ids.extend(piece_ids[:take])
             used += take
     ids.append(vocab.sep_id)
-    mask = [1] * len(ids)
-    if pad_to_max:
-        pad = max_length - len(ids)
-        ids.extend([vocab.pad_id] * pad)
-        mask.extend([0] * pad)
-    return TokenizedSequence(
+    seq = TokenizedSequence(
         ids=ids,
-        attention_mask=mask,
+        attention_mask=[1] * len(ids),
         word_spans=spans,
         pieces=vocab.decode(ids),
         words=words,
     )
+    return pad_sequence(seq, max_length, vocab) if pad_to_max else seq
 
 
 def pad_sequence(seq: TokenizedSequence, target_length: int, vocab: Vocabulary) -> TokenizedSequence:

@@ -17,6 +17,8 @@ from conftest import read_raw_bundle, write_raw_bundle
 
 TINY_SPEC = "2,2,8,16,256,64"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+INVALID_UTF8 = b"a\n\xff\n"
+NON_ASCII = "caf\u00e9 \u2014 na\u00efve.\n".encode()
 
 
 @pytest.fixture
@@ -61,29 +63,47 @@ class TestScore:
         assert from_file.out.count("\n") == from_stdin.out.count("\n") == 1
         assert from_file.out == from_stdin.out
 
-    @pytest.mark.parametrize("data", [b"a\n\xff\n", "caf\u00e9 \u2014 na\u00efve.\n".encode()],
-                             ids=["invalid", "non-ascii"])
-    def test_stdin_and_input_file_agree(self, bundle, tmp_path, data):
+    @pytest.mark.parametrize("command, data", [
+        pytest.param("score", INVALID_UTF8, id="invalid"),
+        pytest.param("score", NON_ASCII, id="non-ascii"),
+        pytest.param("heatmap", INVALID_UTF8, id="heatmap-invalid"),
+        pytest.param("heatmap", NON_ASCII, id="heatmap-non-ascii"),
+        pytest.param("sample", INVALID_UTF8, id="sample-invalid"),
+        pytest.param("sample", NON_ASCII, id="sample-non-ascii"),
+    ])
+    def test_stdin_and_input_file_agree(self, bundle, tmp_path, command, data):
         # A real process, so stdin is decoded the way the interpreter sets it
         # up under the C locale, not through a test double.
-        src = tmp_path / "in.txt"
+        src, lexicon = tmp_path / "in.txt", tmp_path / "lexicon.txt"
         src.write_bytes(data)
+        lexicon.write_bytes(b"na\xc3\xafve\n")
         env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(
             [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
         env.pop("PYTHONIOENCODING", None)
         env.pop("PYTHONUTF8", None)
-        command = [sys.executable, "-m", "hapstack.cli", "score", "-m", str(bundle)]
-        from_stdin = subprocess.run(command, input=data, env=env, capture_output=True,
+        flags = {"score": ["-m", str(bundle)],
+                 "heatmap": ["-m", str(bundle), "--format", "key-value-records"],
+                 "sample": ["--lexicon", str(lexicon)]}
+        argv = [sys.executable, "-m", "hapstack.cli", command, *flags[command]]
+        from_stdin = subprocess.run(argv, input=data, env=env, capture_output=True,
                                     timeout=120)
-        from_file = subprocess.run(command + ["--input", str(src)], env=env,
+        from_file = subprocess.run(argv + ["--input", str(src)], env=env,
                                    capture_output=True, timeout=120)
         assert from_stdin.returncode == from_file.returncode
         assert from_stdin.stdout == from_file.stdout
-        if data.startswith(b"a\n"):
+        if data == INVALID_UTF8:
             assert from_stdin.returncode == 1 and from_stdin.stdout == b""
         else:
             assert from_stdin.returncode == 0
-            assert from_stdin.stdout.endswith(b"\t" + data)
+            expected = {"score": b"\t" + data, "heatmap": b"WORD na\xc3\xafve ",
+                        "sample": b"1\t" + data.rstrip(b"\n") + b"\tna\xc3\xafve\n"}
+            assert expected[command] in from_stdin.stdout
+
+    def test_lone_lf_is_one_empty_line(self, bundle, monkeypatch, capsys):
+        code, captured = run_cli(["score", "--model", str(bundle)], "\n",
+                                 monkeypatch, capsys)
+        assert code == 0
+        assert captured.out.count("\n") == 1 and captured.out.endswith("\t\n")
 
     def test_empty_stdin(self, bundle, monkeypatch, capsys):
         code, captured = run_cli(["score", "--model", str(bundle)], "",
@@ -214,17 +234,27 @@ class TestFilter:
         assert [line.split("\t")[0] for line in dst.read_text(encoding="utf-8").splitlines()] \
             == ["d1"]
 
-    def test_workers_and_dynamic_batching_flags_have_no_effect(self, bundle, tmp_path,
-                                                               capsys):
+    def test_workers_flag_has_no_effect(self, bundle, tmp_path, capsys):
         src = tmp_path / "in.tsv"
         src.write_text("d1\tOne fine day. Another one!\nd2\tShort.\n", encoding="utf-8")
         outputs = []
-        for extra in ([], ["--workers", "3", "--dynamic-batching"]):
+        for extra in ([], ["--workers", "3"]):
             dst = tmp_path / f"out{len(outputs)}.tsv"
             assert main(["filter", "--model", str(bundle), "--input", str(src),
                          "--output", str(dst), *extra]) == 0
             outputs.append(dst.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag", [["--token-budget", "512"], ["--dynamic-batching"]],
+                             ids=lambda flag: flag[0])
+    def test_removed_flags_are_usage_errors(self, flag, bundle, monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(model_io, "load_bundle", loads.append)
+        with pytest.raises(SystemExit) as exc:
+            main(["filter", "--model", str(bundle), *FILTER_FILES, *flag])
+        assert exc.value.code == 2
+        assert loads == []
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 class TestHeatmap:
@@ -355,7 +385,6 @@ class TestOutOfRangeFlags:
         (["score"], "--batch-size", "0"),
         (["filter", *FILTER_FILES], "--threshold", "2"),
         (["filter", *FILTER_FILES], "--max-flagged-fraction", "-0.5"),
-        (["filter", *FILTER_FILES], "--token-budget", "0"),
         (["filter", *FILTER_FILES], "--workers", "0"),
         (["sample", "--mine"], "--min-hap", "2"),
         (["sample", "--mine"], "--limit", "-1"),

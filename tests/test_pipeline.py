@@ -152,11 +152,12 @@ class TestScoreSentences:
             assert abs(a.hap - b.hap) < 1e-5
             assert abs(a.hap - c.hap) < 1e-5
 
-    def test_token_budget_invariance(self, tiny_model):
+    def test_token_budget_invariance(self, tiny_model, monkeypatch):
         rng = np.random.default_rng(12)
         sentences = [random_words(rng, int(rng.integers(1, 12))) for _ in range(20)]
         default = score_sentences(sentences, tiny_model, batch_size=4)
-        budgeted = score_sentences(sentences, tiny_model, batch_size=4, token_budget=64)
+        monkeypatch.setattr(pipeline, "TOKEN_BUDGET", 64)
+        budgeted = score_sentences(sentences, tiny_model, batch_size=4)
         for a, b in zip(default, budgeted):
             assert abs(a.hap - b.hap) < 1e-5
 

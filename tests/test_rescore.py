@@ -150,6 +150,8 @@ class TestBeamFiles:
         ("-1\tb\t7.5", False),
         ("-1\tb\t-0.1", False),
         ("-1\tb\tnan", False),
+        ("-x\ta", False),
+        ("-1\tb\tzz", False),
         ("-inf\tc", True),
         ("inf\tc\t0.0", True),
         ("-1\tc\t1.0", True),
