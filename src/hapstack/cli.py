@@ -12,13 +12,15 @@ import argparse
 import logging
 import os
 import sys
-from pathlib import Path
+from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext
+from typing import BinaryIO
 
 from . import bootstrap, heatmap, model_io, pipeline, rescore, wordpiece
 from .config import DEFAULT_HAP_THRESHOLD, DEFAULT_MAX_LENGTH, RunConfig
 from .encoder import EncoderConfig, forward_batch, init_random
 from .model_io import LoadedModel
-from .wordpiece import encode, read_lines
+from .wordpiece import encode, iter_lines
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -70,24 +72,35 @@ def _load_model(args: argparse.Namespace) -> LoadedModel:
         raise CommandError(f"cannot load model {path}: {exc}", USAGE_ERROR) from exc
 
 
+@contextmanager
+def _output(path: str | None) -> Iterator[BinaryIO]:
+    """A byte stream to the file at ``path``, or to stdout when None, flushed
+    on the way out, also on an error; every subcommand writes its records
+    through it as UTF-8."""
+    sys.stdout.flush()
+    with open(path, "wb") if path else nullcontext(sys.stdout.buffer) as out:
+        try:
+            yield out
+        finally:
+            out.flush()
+
+
 def _write_lines(lines: list[str], path: str | None = None) -> None:
-    """Write LF-terminated lines as UTF-8 to ``path``, or to stdout when None."""
-    data = "".join(line + "\n" for line in lines).encode("utf-8")
-    if path:
-        Path(path).write_bytes(data)
-    else:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+    """Write LF-terminated lines to ``path``, or to stdout when None."""
+    with _output(path) as out:
+        out.write("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     model = _load_model(args)
-    sentences = read_lines(args.input)
-    scores = pipeline.score_sentences(sentences, model, args.batch_size,
-                                      max_length=args.max_length)
-    _write_lines([f"{s.hap:.6f}\t{s.non_hap:.6f}\t{sentence}"
-                  for sentence, s in zip(sentences, scores)], args.output)
+    pipeline.refuse_overwrite(args.input, args.output)
+    with _output(args.output) as out:
+        def write(window: list[tuple[str, list[str]]], scores: list[pipeline.HapScore]) -> None:
+            out.write("".join(f"{s.hap:.6f}\t{s.non_hap:.6f}\t{line}\n"
+                              for (line, _), s in zip(window, scores)).encode("utf-8"))
+        pipeline.score_windows(((line, [line]) for _, line in iter_lines(args.input)), model,
+                               RunConfig(batch_size=args.batch_size, max_length=args.max_length),
+                               write)
     return 0
 
 
@@ -104,17 +117,19 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    model = _load_model(args)
-    config, weights, vocab = model
-    sentences = [line for line in read_lines(args.input) if line]
-    rendered = []
-    for sentence in sentences:
-        seq = encode(sentence, vocab, min(args.max_length, config.max_positions),
-                     pad_to_max=False)
-        output = forward_batch([seq], weights, config)[0]
-        hm = heatmap.compute_heatmap(output, seq)
-        rendered.append(heatmap.render_heatmap(hm, format=args.format).rstrip("\n"))
-    _write_lines(["\n\n".join(rendered)] if rendered else [], args.output)
+    config, weights, vocab = _load_model(args)
+    pipeline.refuse_overwrite(args.input, args.output)
+    separator = ""
+    with _output(args.output) as out:
+        for _, sentence in iter_lines(args.input):
+            if not sentence:
+                continue
+            seq = encode(sentence, vocab, min(args.max_length, config.max_positions),
+                         pad_to_max=False)
+            hm = heatmap.compute_heatmap(forward_batch([seq], weights, config)[0], seq)
+            block = heatmap.render_heatmap(hm, format=args.format).rstrip("\n")
+            out.write(f"{separator}{block}\n".encode("utf-8"))
+            separator = "\n"  # a blank line between blocks
     return 0
 
 
@@ -130,7 +145,7 @@ def cmd_rescore(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    sentences = read_lines(args.input)
+    sentences = [line for _, line in iter_lines(args.input)]
     if args.mine:
         model = _load_model(args)
         mined = bootstrap.mine_high_confidence(
@@ -215,7 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("score", help="score sentences from stdin or --input")
+    p = sub.add_parser("score", help="score sentences from stdin or --input",
+                       description="Score one sentence per line, streaming: windows of "
+                       f"{pipeline.WINDOW_SENTENCES} lines are scored as in filter and written "
+                       "in input order, a line repeated within a window is scored once, and "
+                       "an invalid UTF-8 line exits 1 after the lines before it are written.")
     _add_model_flags(p)
     p.add_argument("--input", help="sentence-per-line input file (default stdin)")
     p.add_argument("--output", help="output file (default stdout)")

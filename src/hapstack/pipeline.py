@@ -3,15 +3,10 @@
 Documents are split into sentences, each sentence scored with a softmax
 over the classifier's two logits (index 1 = HAP), and a document is
 discarded when too large a fraction of its sentences score at or above
-the threshold. Corpus runs read a line-delimited record format and score
-a bounded window of documents at a time, writing the decisions in input
-order. Sentences are cut, in order of token length, into tasks under a
-row and a real-token ceiling, and each task runs as one padding-free
-encoder call (``packed_logits``). A corpus run scores each window's tasks
-largest first on a thread per usable CPU, with OpenBLAS pinned to one
-thread for the run; with one CPU, or a BLAS other than OpenBLAS on Linux,
-they run in sequence. Single requests always run in sequence and leave
-BLAS threading alone.
+the threshold. Corpus runs and ``hapstack score`` stream their input
+through one window loop, ``score_windows``, which scores each window's
+tasks on the run's scoring pool (``_scoring_pool``). Single requests run
+in sequence and leave BLAS threading alone.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ import sys
 import tempfile
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,6 +37,7 @@ from .model_io import LoadedModel
 # pad_sequence is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it by this name.
 from .wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence  # noqa: F401
+from .wordpiece import iter_lines
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +48,8 @@ BENCH_WARMUP_RUNS = 3
 # so a short corpus is timed many times and a long one twice.
 BENCH_THROUGHPUT_MIN_S = 2.0
 MALFORMED_LINES_REPORTED = 5
-# A corpus window is scored once it holds this many sentences: enough for
-# cross-document batches, small enough that memory stays flat.
+# score_windows scores a window once it holds this many sentences: enough
+# for tasks across documents or lines, small enough that memory stays flat.
 WINDOW_SENTENCES = 256
 # Most real tokens per scoring task, unless the task is one sentence.
 # Larger tasks run fewer, larger GEMMs, but a window's longest task then
@@ -72,7 +68,7 @@ OPENBLAS_THREAD_FUNCTIONS = (
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
-# The OpenBLAS thread count is process-wide, so overlapping corpus runs
+# The OpenBLAS thread count is process-wide, so overlapping streaming runs
 # share one pin: the first run in saves the count, the last run out
 # restores it.
 _pin_lock = threading.Lock()
@@ -230,7 +226,8 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
                     max_length: int = DEFAULT_MAX_LENGTH,
                     pool: ThreadPoolExecutor | None = None) -> list[HapScore]:
     """Score each sentence; output order matches input order and the
-    results are independent of task composition within 1e-5.
+    results are independent of task composition within 1e-5. Every encoded
+    sentence is held until the call returns; ``score_windows`` streams.
 
     Each distinct token-id sequence is run through the encoder once and
     its score shared by every sentence that encodes to it. The distinct
@@ -277,14 +274,11 @@ def decide_from_scores(hap_scores: list[float], hap_threshold: float,
     return fraction, fraction <= max_flagged_fraction
 
 
-def _decide_window(window: list[tuple[Document, list[str]]], model: LoadedModel,
-                   run_config: RunConfig,
-                   pool: ThreadPoolExecutor | None = None) -> list[FilterDecision]:
-    """Score a window's sentences as one set and decide each document, in
+def _decide_window(window: list[tuple[Document, list[str]]], scores: list[HapScore],
+                   run_config: RunConfig) -> list[FilterDecision]:
+    """Decide each document of a window from its sentences' scores, in
     window order: the one place scored sentences become decisions."""
-    scores = iter(score_sentences(
-        [sentence for _, sentences in window for sentence in sentences], model,
-        run_config.batch_size, max_length=run_config.max_length, pool=pool))
+    scores = iter(scores)
     decisions = []
     for doc, sentences in window:
         doc_scores = list(islice(scores, len(sentences)))
@@ -302,7 +296,9 @@ def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
     """Decide one document as a window of one; ``RunConfig`` checks the settings."""
     run_config = RunConfig(batch_size=batch_size, max_length=max_length,
                            hap_threshold=hap_threshold, max_flagged_fraction=max_flagged_fraction)
-    return _decide_window([(doc, split_sentences(doc.text))], model, run_config)[0]
+    sentences = split_sentences(doc.text)
+    scores = score_sentences(sentences, model, batch_size, max_length=max_length)
+    return _decide_window([(doc, sentences)], scores, run_config)[0]
 
 
 def unescape_text(text: str) -> str:
@@ -321,60 +317,92 @@ def _parse_corpus_line(line: str) -> Document | None:
     return Document(id=line[:tab], text=unescape_text(line[tab + 1:]))
 
 
-def _write_window(window: list[tuple[Document, list[str]]], out, model: LoadedModel,
-                  run_config: RunConfig, pool: ThreadPoolExecutor | None) -> int:
+def _write_window(window: list[tuple[Document, list[str]]], scores: list[HapScore], out,
+                  run_config: RunConfig) -> int:
     """Write a window's decision records in input order; return the kept count."""
-    decisions = _decide_window(window, model, run_config, pool)
+    decisions = _decide_window(window, scores, run_config)
     for d in decisions:
         joined = ",".join(f"{score.hap:.6f}" for _, score in d.sentence_scores)
         out.write(f"{d.doc_id}\t{int(d.kept)}\t{d.flagged_fraction:.6f}\t{joined}\n")
     return sum(d.kept for d in decisions)
 
 
+def refuse_overwrite(input_path: str | Path | None, output_path: str | Path | None) -> None:
+    """Before a streaming run reads or writes: raise ``FileNotFoundError``
+    for a missing input, and ``ValueError`` for an output that is the input
+    file (by path or hard link), which writing would truncate mid-read."""
+    if input_path is None or output_path is None:
+        return
+    source = os.stat(input_path)
+    if os.path.exists(output_path) and os.path.samestat(source, os.stat(output_path)):
+        raise ValueError(f"output {output_path} would overwrite the input corpus")
+
+
+def score_windows(items: Iterable[tuple[object, list[str]]], model: LoadedModel,
+                  run_config: RunConfig, write: Callable[[list, list[HapScore]], None]) -> None:
+    """The one window loop of the streaming drivers. ``(item, sentences)``
+    pairs gather until the window holds ``WINDOW_SENTENCES`` sentences; the
+    window's sentences are then scored as one set on the run's scoring pool
+    (so a sentence repeated within it is scored once), and
+    ``write(window, scores)`` writes them in input order. Memory is bounded
+    by the window. When ``items`` raises ``UnicodeDecodeError``, the window
+    held so far is written first."""
+    window: list[tuple[object, list[str]]] = []
+    held = 0
+    with _scoring_pool() as pool:
+        def flush() -> None:
+            write(window, score_sentences([s for _, group in window for s in group], model,
+                                          run_config.batch_size,
+                                          max_length=run_config.max_length, pool=pool))
+        try:
+            for item, sentences in items:
+                window.append((item, sentences))
+                held += len(sentences)
+                if held >= WINDOW_SENTENCES:
+                    flush()
+                    window, held = [], 0
+        except UnicodeDecodeError:
+            flush()
+            raise
+        flush()
+
+
 def run_corpus(input_path: str | Path, output_path: str | Path,
                model: LoadedModel, run_config: RunConfig) -> CorpusSummary:
     """Filter a tab-separated corpus file, one document per line, streaming.
 
-    Only LF ends a line; a CR stays in the text. Parsed documents gather in
-    a window until it holds ``WINDOW_SENTENCES`` sentences; the window's
-    sentences are then scored together, so tasks span documents, and its
-    decisions are written in input order. Memory is bounded by the window,
-    not the corpus. Malformed lines are counted, skipped and reported in one
-    warning. A line that is not valid UTF-8 raises ``UnicodeDecodeError``
-    after every earlier decision is written. A window's tasks run on the
-    run's scoring pool (see ``_scoring_pool``); the OpenBLAS thread count is
-    restored when the run returns or raises.
+    Lines are read by ``iter_lines`` (only LF ends a line) and documents
+    scored by ``score_windows``, so tasks span documents, memory is bounded
+    by the window and each window's decisions are written in input order.
+    Malformed lines are counted, skipped and reported in one warning. A
+    line that is not valid UTF-8 raises ``UnicodeDecodeError`` after every
+    earlier decision is written; an output that is the input raises
+    ``ValueError`` first (``refuse_overwrite``). The OpenBLAS thread count
+    is restored when the run returns or raises.
     """
-    if os.path.exists(output_path) and os.path.samefile(input_path, output_path):
-        raise ValueError(f"output {output_path} would overwrite the input corpus")
+    refuse_overwrite(input_path, output_path)
     start = time.perf_counter()
     processed = skipped = kept = 0
     first_skipped: list[int] = []
-    window: list[tuple[Document, list[str]]] = []
-    window_sentences = 0
-    with (open(input_path, "rb") as src,
-          open(output_path, "w", encoding="utf-8", newline="\n") as out,
-          _scoring_pool() as pool):
-        for lineno, raw in enumerate(src, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                _write_window(window, out, model, run_config, pool)
-                raise
-            doc = _parse_corpus_line(line.removesuffix("\n"))
+
+    def documents() -> Iterator[tuple[Document, list[str]]]:
+        nonlocal processed, skipped
+        for lineno, line in iter_lines(input_path):
+            doc = _parse_corpus_line(line)
             if doc is None:
                 skipped += 1
                 if len(first_skipped) < MALFORMED_LINES_REPORTED:
                     first_skipped.append(lineno)
                 continue
-            sentences = split_sentences(doc.text)
-            window.append((doc, sentences))
-            window_sentences += len(sentences)
             processed += 1
-            if window_sentences >= WINDOW_SENTENCES:
-                kept += _write_window(window, out, model, run_config, pool)
-                window, window_sentences = [], 0
-        kept += _write_window(window, out, model, run_config, pool)
+            yield doc, split_sentences(doc.text)
+
+    def write(window: list[tuple[Document, list[str]]], scores: list[HapScore]) -> None:
+        nonlocal kept
+        kept += _write_window(window, scores, out, run_config)
+
+    with open(output_path, "w", encoding="utf-8", newline="\n") as out:
+        score_windows(documents(), model, run_config, write)
     if skipped:
         logger.warning("skipped %d malformed corpus line(s); first line numbers: %s",
                        skipped, ", ".join(map(str, first_skipped)))

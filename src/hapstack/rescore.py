@@ -15,7 +15,7 @@ from pathlib import Path
 from .config import DEFAULT_MAX_LENGTH
 from .model_io import LoadedModel
 from .pipeline import score_sentences
-from .wordpiece import read_lines
+from .wordpiece import iter_lines
 
 
 @dataclass
@@ -62,7 +62,7 @@ def read_beam_file(path: str | Path) -> list[Hypothesis]:
     [0, 1], raises ``ValueError`` naming the line; an infinite original
     score sorts and is accepted."""
     hypotheses = []
-    for lineno, line in enumerate(read_lines(path), start=1):
+    for lineno, line in iter_lines(path):
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise ValueError(f"beam line {lineno} has {len(parts)} fields, expected 2 or 3")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import sys
 import unicodedata
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,27 +120,26 @@ def pre_tokenize(text: str) -> list[str]:
     return words
 
 
-def split_lines(text: str) -> list[str]:
-    """Lines of ``text``: only LF ends a line, and one final LF is dropped,
-    so a lone LF is one empty line and empty text is no line."""
-    return text.removesuffix("\n").split("\n") if text else []
-
-
-def read_lines(path: str | Path | None) -> list[str]:
-    """The lines (see ``split_lines``) of the file at ``path``, or of stdin
-    when None, decoded as strict UTF-8 whatever the locale, so every text
-    input accepts and refuses the same bytes."""
-    data = sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
-    return split_lines(data.decode("utf-8"))
+def iter_lines(path: str | Path | None) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` for each line of the file at ``path``, or of
+    stdin when None, read as bytes one line at a time and decoded as strict
+    UTF-8 whatever the locale, so every text input accepts and refuses the
+    same bytes in memory bounded by its longest line. Only LF ends a line (a
+    CR stays in the text) and one final LF is dropped, so a lone LF is one
+    empty line and empty input is no line. A line that is not UTF-8 raises
+    ``UnicodeDecodeError`` after every earlier line is yielded."""
+    with open(path, "rb") if path is not None else nullcontext(sys.stdin.buffer) as src:
+        for lineno, raw in enumerate(src, start=1):
+            yield lineno, raw.removesuffix(b"\n").decode("utf-8")
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
     """Load a one-token-per-line vocabulary file (id = 0-based line number).
 
-    The file is read bit-exactly (see ``read_lines``): tokens keep any
+    The file is read bit-exactly (see ``iter_lines``): tokens keep any
     surrounding characters.
     """
-    return Vocabulary(tuple(read_lines(path)))
+    return Vocabulary(tuple(token for _, token in iter_lines(path)))
 
 
 def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:

@@ -1,11 +1,14 @@
 """Shared fixtures: tiny vocabularies, configs and models."""
 
+import contextlib
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hapstack import pipeline
 from hapstack.encoder import EncoderConfig, init_random
 from hapstack.model_io import LoadedModel
 from hapstack.wordpiece import Vocabulary, build_ascii_vocab
@@ -47,6 +50,17 @@ def random_words(rng: np.random.Generator, n_words: int) -> str:
         letters = rng.integers(ord("a"), ord("z") + 1, size=length)
         words.append("".join(chr(c) for c in letters))
     return " ".join(words)
+
+
+@contextlib.contextmanager
+def two_cpus(blas=None):
+    """Two usable CPUs and ``blas`` as the OpenBLAS (set, get) pair, so that
+    a streaming run takes the pooled path; without ``blas``, the OpenBLAS
+    found in this process, or a no-op pair where there is none."""
+    blas = blas or pipeline._openblas_threads() or (lambda n: None, lambda: 1)
+    with (mock.patch.object(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
+          mock.patch.object(pipeline, "_openblas_threads", lambda: blas)):
+        yield
 
 
 def read_raw_bundle(path):

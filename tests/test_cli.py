@@ -4,21 +4,26 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from hapstack import model_io
+from hapstack import model_io, pipeline
 from hapstack.cli import main
 from hapstack.wordpiece import build_ascii_vocab
 
-from conftest import read_raw_bundle, write_raw_bundle
+from conftest import random_words, read_raw_bundle, two_cpus, write_raw_bundle
 
 TINY_SPEC = "2,2,8,16,256,64"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 INVALID_UTF8 = b"a\n\xff\n"
 NON_ASCII = "caf\u00e9 \u2014 na\u00efve.\n".encode()
+# One full window of valid lines, then an invalid line opening the second.
+SECOND_WINDOW_INVALID = b"".join(f"line {i % 50}.\n".encode()
+                                 for i in range(pipeline.WINDOW_SENTENCES)) + b"\xff\nlater.\n"
 
 
 @pytest.fixture
@@ -66,6 +71,7 @@ class TestScore:
     @pytest.mark.parametrize("command, data", [
         pytest.param("score", INVALID_UTF8, id="invalid"),
         pytest.param("score", NON_ASCII, id="non-ascii"),
+        pytest.param("score", SECOND_WINDOW_INVALID, id="second-window-invalid"),
         pytest.param("heatmap", INVALID_UTF8, id="heatmap-invalid"),
         pytest.param("heatmap", NON_ASCII, id="heatmap-non-ascii"),
         pytest.param("sample", INVALID_UTF8, id="sample-invalid"),
@@ -91,13 +97,67 @@ class TestScore:
                                    capture_output=True, timeout=120)
         assert from_stdin.returncode == from_file.returncode
         assert from_stdin.stdout == from_file.stdout
-        if data == INVALID_UTF8:
-            assert from_stdin.returncode == 1 and from_stdin.stdout == b""
+        if b"\xff" in data:
+            # score and heatmap stream: what precedes the bad line is written,
+            # then the run exits 1; sample reads all its input first.
+            assert from_stdin.returncode == 1
+            before = data[:data.index(b"\xff")].splitlines()
+            out = from_stdin.stdout.splitlines()
+            if command == "score":
+                assert [record.split(b"\t")[2] for record in out] == before
+            elif command == "heatmap":
+                assert [line.split(b" ")[1] for line in out if line.startswith(b"WORD ")] \
+                    == before
+            else:
+                assert out == []
         else:
             assert from_stdin.returncode == 0
             expected = {"score": b"\t" + data, "heatmap": b"WORD na\xc3\xafve ",
                         "sample": b"1\t" + data.rstrip(b"\n") + b"\tna\xc3\xafve\n"}
             assert expected[command] in from_stdin.stdout
+
+    def test_windows_match_one_call_over_the_whole_input(self, bundle, tmp_path, monkeypatch):
+        # Five windows, every sentence repeated across them: the same lines,
+        # texts and order as one score_sentences call, scores within 1e-6.
+        rng = np.random.default_rng(31)
+        pool = [random_words(rng, int(rng.integers(1, 9))) + "." for _ in range(9)]
+        lines = [pool[int(i)] for i in rng.integers(0, len(pool), size=40)]
+        src, dst = tmp_path / "in.txt", tmp_path / "out.tsv"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(pipeline, "WINDOW_SENTENCES", 8)
+        assert main(["score", "-m", str(bundle), "--batch-size", "3",
+                     "--input", str(src), "--output", str(dst)]) == 0
+        expected = pipeline.score_sentences(lines, model_io.load_bundle(bundle), 32)
+        records = [record.split("\t") for record in dst.read_text(encoding="utf-8").splitlines()]
+        assert [text for _, _, text in records] == lines
+        for (hap, non_hap, _), score in zip(records, expected):
+            assert abs(float(hap) - score.hap) <= 1e-6
+            assert abs(float(non_hap) - score.non_hap) <= 1e-6
+
+    def test_pooled_and_sequential_output_identical(self, bundle, tmp_path, monkeypatch):
+        rng = np.random.default_rng(32)
+        src = tmp_path / "in.txt"
+        src.write_text("".join(random_words(rng, int(rng.integers(1, 12))) + ".\n"
+                               for _ in range(30)), encoding="utf-8")
+        monkeypatch.setattr(pipeline, "WINDOW_SENTENCES", 8)
+        pools = []
+        score_sentences = pipeline.score_sentences
+
+        def recording(*args, pool=None, **kwargs):
+            pools.append(pool is not None)
+            return score_sentences(*args, pool=pool, **kwargs)
+
+        outputs = {}
+        for name, blas in (("pooled", two_cpus()),
+                           ("sequential", mock.patch.object(pipeline, "_openblas_threads",
+                                                            lambda: None))):
+            outputs[name] = tmp_path / f"{name}.tsv"
+            with blas, mock.patch.object(pipeline, "score_sentences", recording):
+                assert main(["score", "-m", str(bundle), "--batch-size", "2",
+                             "--input", str(src), "--output", str(outputs[name])]) == 0
+        assert pools == [True] * 4 + [False] * 4  # four windows each, the last one partial
+        assert outputs["pooled"].read_bytes() == outputs["sequential"].read_bytes()
+        assert outputs["pooled"].read_text(encoding="utf-8").count("\n") == 30
 
     def test_lone_lf_is_one_empty_line(self, bundle, monkeypatch, capsys):
         code, captured = run_cli(["score", "--model", str(bundle)], "\n",
@@ -161,6 +221,42 @@ class TestScore:
         assert code == 2
         assert captured.out == ""
         assert "cannot load model" in captured.err
+
+
+class TestStreamingDrivers:
+    @pytest.mark.parametrize("command", ["score", "heatmap", "filter"])
+    @pytest.mark.parametrize("hard_link", [False, True], ids=["same-path", "hard-link"])
+    def test_output_over_input_refused(self, bundle, tmp_path, capsys, command, hard_link):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"d1\tone line.\nd2\tanother line.\n")
+        dst = tmp_path / "out.txt" if hard_link else tmp_path / "." / "in.txt"
+        if hard_link:
+            os.link(src, dst)
+        code = main([command, "-m", str(bundle), "--input", str(src), "--output", str(dst)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"output {dst} would overwrite the input corpus" in captured.err
+        assert src.read_bytes() == b"d1\tone line.\nd2\tanother line.\n"
+
+    @pytest.mark.parametrize("command, n_lines", [("score", 800), ("heatmap", 100)])
+    def test_memory_does_not_grow_with_input_size(self, bundle, tmp_path, command, n_lines):
+        rng = np.random.default_rng(33)
+        lines = [random_words(rng, 4) + "." for _ in range(4 * n_lines)]
+
+        def peak_bytes(n):
+            src = tmp_path / f"in{n}.txt"
+            src.write_text("\n".join(lines[:n]) + "\n", encoding="utf-8")
+            tracemalloc.start()
+            try:
+                assert main([command, "-m", str(bundle), "--input", str(src),
+                             "--output", str(tmp_path / "out.txt")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(20)  # warm-up: first-call allocations are not per-line
+        small, large = peak_bytes(n_lines), peak_bytes(4 * n_lines)
+        assert large < 1.25 * small, f"peak {small} B for {n_lines} lines, {large} B for 4x"
 
 
 class TestInitRandom:

@@ -37,9 +37,9 @@ from hapstack.pipeline import (
 )
 from hapstack.pipeline import _batch_indices
 from hapstack.rescore import Hypothesis, rescore_beam
-from hapstack.wordpiece import TokenizedSequence
+from hapstack.wordpiece import TokenizedSequence, iter_lines
 
-from conftest import random_words
+from conftest import random_words, two_cpus
 
 
 @contextlib.contextmanager
@@ -55,17 +55,6 @@ def forward_rows(measure=len):
 
     with mock.patch.object(pipeline, "packed_logits", counting):
         yield rows
-
-
-@contextlib.contextmanager
-def two_cpus(blas=None):
-    """Two usable CPUs and ``blas`` as the OpenBLAS (set, get) pair, so that
-    run_corpus takes the pooled path; without ``blas``, the OpenBLAS found
-    in this process, or a no-op pair where there is none."""
-    blas = blas or pipeline._openblas_threads() or (lambda n: None, lambda: 1)
-    with (mock.patch.object(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
-          mock.patch.object(pipeline, "_openblas_threads", lambda: blas)):
-        yield
 
 
 @pytest.fixture
@@ -652,6 +641,8 @@ class TestStreamingReader:
                 summary = run_corpus(src, dst, tiny_model, RunConfig())
             out_ids = [record.split("\t")[0]
                        for record in dst.read_bytes().decode("utf-8").split("\n")[:-1]]
+            read = list(iter_lines(src))
+        assert read == list(enumerate(data.split("\n")[:n_lines], start=1))
         assert summary.processed + summary.skipped == n_lines
         assert seen == expected
         assert out_ids == [doc_id for doc_id, _ in expected]

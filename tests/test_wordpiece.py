@@ -1,7 +1,11 @@
-"""Tokenizer unit tests: vocab loading, greedy matching, encoding."""
+"""Tokenizer unit tests: line reading, vocab loading, greedy matching, encoding."""
 
+import io
+import tempfile
 import time
 import unicodedata
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +20,10 @@ from hapstack.wordpiece import (
     Vocabulary,
     build_ascii_vocab,
     encode,
+    iter_lines,
     load_vocab,
     pad_sequence,
     pre_tokenize,
-    split_lines,
     tokenize_word,
 )
 
@@ -68,7 +72,23 @@ class TestLoadVocab:
         assert vocab.tokens[4] == "word "
 
 
+def read_both_ways(data: bytes) -> list[str]:
+    """The texts ``iter_lines`` yields for ``data`` from a file and from
+    stdin, checked to agree and to be numbered from 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes(data)
+        from_file = list(iter_lines(path))
+    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+        from_stdin = list(iter_lines(None))
+    assert from_file == from_stdin
+    assert [lineno for lineno, _ in from_file] == list(range(1, len(from_file) + 1))
+    return [text for _, text in from_file]
+
+
 class TestSplitLines:
+    """The line rules of ``iter_lines``, the one reader of every text input."""
+
     @pytest.mark.parametrize("text, lines", [
         ("", []),
         ("\n", [""]),
@@ -79,11 +99,19 @@ class TestSplitLines:
         ("a\r\nb\rc\n", ["a\r", "b\rc"]),
     ])
     def test_only_lf_ends_a_line_and_one_final_lf_is_dropped(self, text, lines):
-        assert split_lines(text) == lines
+        assert read_both_ways(text.encode("utf-8")) == lines
 
-    @given(st.lists(st.text(alphabet="ab\r\t ", max_size=4), min_size=1, max_size=5))
+    @given(st.lists(st.text(alphabet="ab\r\t \u00e9", max_size=4), min_size=1, max_size=5))
     def test_joined_lines_round_trip(self, lines):
-        assert split_lines("\n".join(lines) + "\n") == lines
+        assert read_both_ways(("\n".join(lines) + "\n").encode("utf-8")) == lines
+
+    def test_invalid_line_raises_after_earlier_lines(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"a\nb\n\xff\nc\n")
+        lines = iter_lines(path)
+        assert [next(lines), next(lines)] == [(1, "a"), (2, "b")]
+        with pytest.raises(UnicodeDecodeError):
+            next(lines)
 
 
 class TestTokenizeWord:
