@@ -13,12 +13,13 @@ from __future__ import annotations
 import enum
 import logging
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import DEFAULT_MAX_LENGTH
+from .config import DEFAULT_MAX_LENGTH, RunConfig
 from .model_io import LoadedModel
-from .pipeline import HapScore, score_sentences
+from .pipeline import HapScore, score_windows
 from .wordpiece import iter_lines
 
 logger = logging.getLogger(__name__)
@@ -144,18 +145,25 @@ def balanced_sample(samples: list[LexiconSample], target_size: int,
     return rng.sample(positives, take_pos) + rng.sample(negatives, take_neg)
 
 
-def mine_high_confidence(sentences: list[str], model: LoadedModel, min_hap: float,
+def mine_high_confidence(sentences: Iterable[str], model: LoadedModel, min_hap: float,
                          limit: int, seed: int, batch_size: int = 32,
                          max_length: int = DEFAULT_MAX_LENGTH) -> list[tuple[str, HapScore]]:
     """Score sentences and draw up to ``limit`` of those with
-    hap >= ``min_hap`` (uniform, seeded); meant for downstream review."""
+    hap >= ``min_hap`` (uniform, seeded); meant for downstream review.
+    ``sentences`` stream through ``score_windows``, so memory is bounded by
+    a window and the sentences kept."""
     if not 0.0 <= min_hap <= 1.0:
         raise ValueError("min_hap must lie in [0, 1]")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    scores = score_sentences(sentences, model, batch_size, max_length=max_length)
-    pool = [(sentence, score) for sentence, score in zip(sentences, scores)
-            if score.hap >= min_hap]
+    pool: list[tuple[str, HapScore]] = []
+
+    def keep(window: list[tuple[str, list[str]]], scores: list[HapScore]) -> None:
+        pool.extend((sentence, score) for (sentence, _), score in zip(window, scores)
+                    if score.hap >= min_hap)
+
+    score_windows(((sentence, [sentence]) for sentence in sentences), model,
+                  RunConfig(batch_size=batch_size, max_length=max_length), keep)
     if len(pool) <= limit:
         return pool
     return random.Random(seed).sample(pool, limit)

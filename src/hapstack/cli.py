@@ -145,17 +145,18 @@ def cmd_rescore(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    sentences = [line for _, line in iter_lines(args.input)]
     if args.mine:
         model = _load_model(args)
         mined = bootstrap.mine_high_confidence(
-            sentences, model, min_hap=args.min_hap, limit=args.limit,
-            seed=args.seed, batch_size=args.batch_size, max_length=args.max_length)
+            (line for _, line in iter_lines(args.input)), model, min_hap=args.min_hap,
+            limit=args.limit, seed=args.seed, batch_size=args.batch_size,
+            max_length=args.max_length)
         _write_lines([f"{score.hap:.6f}\t{score.non_hap:.6f}\t{sentence}"
                       for sentence, score in mined], args.output)
         return 0
     if not args.lexicon:
         raise CommandError("--lexicon is required unless --mine is given", USAGE_ERROR)
+    sentences = [line for _, line in iter_lines(args.input)]
     lexicon = bootstrap.load_lexicon(args.lexicon)
     samples = bootstrap.label_corpus(sentences, lexicon, mode=args.match_mode,
                                      case_fold=args.case_fold)

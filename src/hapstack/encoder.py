@@ -10,7 +10,11 @@ Two entry points share one block loop (``_blocks``): ``forward_batch``
 runs a padded batch, with pad columns masked out of every attention row,
 and returns every layer's attention probabilities with the logits;
 ``packed_logits`` scores unpadded sequences of any lengths with no
-padding and keeps no attention.
+padding and keeps no attention. Only the pooler reads the final block,
+so past its attention that block runs on the classification rows alone;
+with no attention kept, it also forms no K or V (``_cls_attention``).
+No block adds ``k_bias``: it shifts all of a query's scores alike, which
+the softmax cancels.
 """
 
 from __future__ import annotations
@@ -293,6 +297,102 @@ def _check_ids(ids: np.ndarray, shortest: int, longest: int, config: EncoderConf
                          f"{config.vocab_size}: [{ids.min()}, {ids.max()}]")
 
 
+def _attention(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
+               layer: LayerWeights, config: EncoderConfig,
+               attentions: list[np.ndarray] | None, cls_only: bool = False) -> np.ndarray:
+    """The attention context [N, hidden] of every row of ``x``, or, with
+    ``cls_only``, of each sequence's classification row alone, [B, hidden].
+
+    Q, K and V are one GEMM each over all rows; attention runs per run as
+    [b, heads, t, t]. K carries no ``k_bias``: q·k_bias is the same for
+    every key of a query row, so it cancels in the softmax. When
+    ``attentions`` is a list, each run's probabilities are appended to it.
+    """
+    heads, head_dim, hidden = config.num_heads, config.head_dim, config.hidden_size
+    scale = np.float32(1.0 / math.sqrt(head_dim))
+    q = x @ layer.q_weight
+    q += layer.q_bias
+    k = x @ layer.k_weight
+    v = x @ layer.v_weight
+    v += layer.v_bias
+    context = np.empty((sum(b for b, _, _ in runs) if cls_only else len(x), hidden),
+                       dtype=np.float32)
+    begin = row = 0  # the run's first token and first sequence
+    for b, t, bias in runs:
+        stop = begin + b * t
+        q_run = q[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
+        k_run = k[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 3, 1)
+        v_run = v[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
+        scores = q_run @ k_run
+        scores *= scale
+        if bias is not None:
+            scores += bias
+        probs = _softmax(scores)
+        if attentions is not None:
+            attentions.append(probs)
+        if cls_only:
+            context[row:row + b] = (probs[:, :, :1] @ v_run).reshape(b, hidden)
+        else:
+            context[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)[...] = (
+                probs @ v_run)
+        del scores, probs  # freed before the next run or block allocates its scores
+        begin, row = stop, row + b
+    return context
+
+
+def _cls_attention(x: np.ndarray, cls: np.ndarray,
+                   runs: list[tuple[int, int, np.ndarray | None]], layer: LayerWeights,
+                   config: EncoderConfig) -> np.ndarray:
+    """The attention context [B, hidden] of the classification rows ``cls``
+    of ``x``, with no K or V projection of any row.
+
+    Per head h, with q_h = (x_cls·W_q + b_q)_h/√d, the score of key row x_j
+    is q_h·(x_j·W_k,h + b_k,h) = r_h·x_j + q_h·b_k,h, where r_h = q_h·W_k,hᵀ;
+    the second term is the same for every key, so it cancels in the
+    softmax. Each row of the probabilities p_h sums to 1, so the context
+    p_h·(X·W_v,h + b_v,h) is (p_h·X)·W_v,h + b_v,h. A run's mask bias is
+    added to its scores, as in ``_attention``.
+    """
+    heads, head_dim, hidden = config.num_heads, config.head_dim, config.hidden_size
+    q = x[cls] @ layer.q_weight
+    q += layer.q_bias
+    q *= np.float32(1.0 / math.sqrt(head_dim))
+    # [heads, B, d] @ [heads, d, hidden], viewed as [B, heads, hidden].
+    r = (q.reshape(-1, heads, head_dim).transpose(1, 0, 2)
+         @ layer.k_weight.reshape(hidden, heads, head_dim).transpose(1, 2, 0)).transpose(1, 0, 2)
+    mixed = np.empty((len(cls), heads, hidden), dtype=np.float32)  # p_h·X, per head
+    begin = row = 0
+    for b, t, bias in runs:
+        x_run = x[begin:begin + b * t].reshape(b, t, hidden)
+        scores = r[row:row + b] @ x_run.transpose(0, 2, 1)
+        if bias is not None:
+            scores += bias.reshape(b, 1, t)
+        mixed[row:row + b] = _softmax(scores) @ x_run
+        begin, row = begin + b * t, row + b
+    # [heads, B, hidden] @ [heads, hidden, d], back to [B, hidden].
+    context = (mixed.transpose(1, 0, 2)
+               @ layer.v_weight.reshape(hidden, heads, head_dim).transpose(1, 0, 2))
+    context = context.transpose(1, 0, 2).reshape(len(cls), hidden)
+    context += layer.v_bias
+    return context
+
+
+def _block(x: np.ndarray, context: np.ndarray, layer: LayerWeights, eps: float) -> np.ndarray:
+    """The rest of a block, given its attention ``context``: the output
+    projection, the FFN and both post-layernorms. Biases and residuals are
+    added in place on the temporaries this function owns."""
+    y = context @ layer.out_weight
+    y += layer.out_bias
+    y += x
+    x = _layernorm(y, layer.attn_ln_gamma, layer.attn_ln_beta, eps)
+    y = x @ layer.ffn_up_weight
+    y += layer.ffn_up_bias
+    y = _gelu_in_tiles(y) @ layer.ffn_down_weight
+    y += layer.ffn_down_bias
+    y += x
+    return _layernorm(y, layer.ffn_ln_gamma, layer.ffn_ln_beta, eps)
+
+
 def _blocks(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
             weights: ModelWeights, config: EncoderConfig,
             attentions: list[np.ndarray] | None = None) -> np.ndarray:
@@ -303,62 +403,24 @@ def _blocks(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
     ``runs`` cuts the rows, in order, into ``(b, t, bias)``: ``b``
     sequences of length ``t`` and None or an additive [b, 1, 1, t] mask
     bias. Projections, the FFN, gelu and layernorms run once per block
-    over all rows; attention runs per run as [b, heads, t, t]. Only the
-    pooler reads the final block's output, so past its K and V the final
-    block runs on the classification rows alone. When ``attentions`` is a
-    list, every block's probabilities of every run are appended to it, and
-    the final block computes every query row.
+    over all rows (``_attention``, then ``_block``). Only the pooler reads
+    the final block's output, so that block runs past its attention on the
+    classification rows alone. With ``attentions`` None, its attention is
+    ``_cls_attention``, which forms no K or V; when ``attentions`` is a
+    list, the final block computes every query row too, and every block's
+    probabilities of every run are appended to it.
     """
-    heads, head_dim, hidden = config.num_heads, config.head_dim, config.hidden_size
     eps = config.layernorm_epsilon
-    scale = np.float32(1.0 / math.sqrt(head_dim))
-    spans = []
-    start = 0
-    for b, t, _ in runs:
-        spans.append((start, start + b * t))
-        start += b * t
-    cls = np.concatenate([np.arange(begin, stop, t) for (begin, stop), (_, t, _) in
-                          zip(spans, runs)])
-
-    final = len(weights.layers) - 1
-    for index, layer in enumerate(weights.layers):
-        last = index == final
-        cls_queries = last and attentions is None
-        q = (x[cls] if cls_queries else x) @ layer.q_weight + layer.q_bias
-        k = x @ layer.k_weight + layer.k_bias
-        v = x @ layer.v_weight + layer.v_bias
-        context = np.empty((len(cls) if last else len(x), hidden), dtype=np.float32)
-        row = 0  # the run's first sequence
-        for (begin, stop), (b, t, bias) in zip(spans, runs):
-            k_run = k[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 3, 1)
-            v_run = v[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-            if cls_queries:
-                q_run = q[row:row + b].reshape(b, heads, 1, head_dim)
-            else:
-                q_run = q[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-            scores = q_run @ k_run
-            scores *= scale
-            if bias is not None:
-                scores += bias
-            probs = _softmax(scores)
-            if attentions is not None:
-                attentions.append(probs)
-            if last:
-                context[row:row + b] = (probs[:, :, :1] @ v_run).reshape(b, hidden)
-            else:
-                context[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)[...] = (
-                    probs @ v_run)
-            del scores, probs  # freed before the next run or block allocates its scores
-            row += b
-        if last:
-            x = x[cls]
-        # Nested, so no temporary outlives its block.
-        x = _layernorm(x + (context @ layer.out_weight + layer.out_bias),
-                       layer.attn_ln_gamma, layer.attn_ln_beta, eps)
-        x = _layernorm(x + (_gelu_in_tiles(x @ layer.ffn_up_weight + layer.ffn_up_bias)
-                            @ layer.ffn_down_weight + layer.ffn_down_bias),
-                       layer.ffn_ln_gamma, layer.ffn_ln_beta, eps)
-    return x
+    lengths = np.repeat([t for _, t, _ in runs], [b for b, _, _ in runs])
+    cls = np.concatenate([[0], np.cumsum(lengths[:-1])])
+    *inner, final = weights.layers
+    for layer in inner:
+        x = _block(x, _attention(x, runs, layer, config, attentions), layer, eps)
+    if attentions is None:
+        context = _cls_attention(x, cls, runs, final, config)
+    else:
+        context = _attention(x, runs, final, config, attentions, cls_only=True)
+    return _block(x[cls], context, final, eps)
 
 
 def _head(x: np.ndarray, weights: ModelWeights) -> np.ndarray:

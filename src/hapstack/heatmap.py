@@ -66,16 +66,13 @@ def render_heatmap(heatmap: AttentionHeatmap, format: str = "text-grid") -> str:
     ``key-value-records`` emits LF-terminated ``ATT <i> <j> <weight>`` and
     ``WORD <word> <weight>`` lines with 6-decimal weights.
     """
+    # Python floats format faster than numpy scalars, to the same text.
+    rows = heatmap.matrix.tolist()
     if format == "text-grid":
-        return "\n".join(
-            " ".join(f"{cell:.4f}" for cell in row) for row in heatmap.matrix
-        )
+        return "\n".join(" ".join(f"{cell:.4f}" for cell in row) for row in rows)
     if format == "key-value-records":
-        lines = []
-        size = heatmap.matrix.shape[0]
-        for i in range(size):
-            for j in range(size):
-                lines.append(f"ATT {i} {j} {heatmap.matrix[i, j]:.6f}")
+        lines = [f"ATT {i} {j} {cell:.6f}"
+                 for i, row in enumerate(rows) for j, cell in enumerate(row)]
         for word, weight in heatmap.word_attributions:
             lines.append(f"WORD {word} {weight:.6f}")
         return "".join(line + "\n" for line in lines)

@@ -127,10 +127,16 @@ def iter_lines(path: str | Path | None) -> Iterator[tuple[int, str]]:
     same bytes in memory bounded by its longest line. Only LF ends a line (a
     CR stays in the text) and one final LF is dropped, so a lone LF is one
     empty line and empty input is no line. A line that is not UTF-8 raises
-    ``UnicodeDecodeError`` after every earlier line is yielded."""
+    ``UnicodeDecodeError``, naming its line number, after every earlier
+    line is yielded."""
     with open(path, "rb") if path is not None else nullcontext(sys.stdin.buffer) as src:
         for lineno, raw in enumerate(src, start=1):
-            yield lineno, raw.removesuffix(b"\n").decode("utf-8")
+            try:
+                text = raw.removesuffix(b"\n").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
+                                         f"{exc.reason} on line {lineno}") from None
+            yield lineno, text
 
 
 def load_vocab(path: str | Path) -> Vocabulary:

@@ -1,5 +1,8 @@
 """Lexicon labeling and balanced sampling tests."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,9 @@ from hapstack.bootstrap import (
     mine_high_confidence,
     plan_balanced_counts,
 )
+from hapstack import pipeline
+
+from conftest import random_words
 
 
 @pytest.fixture
@@ -198,3 +204,18 @@ class TestMineHighConfidence:
         a = mine_high_confidence(sentences, tiny_model, min_hap=0.0, limit=3, seed=5)
         b = mine_high_confidence(sentences, tiny_model, min_hap=0.0, limit=3, seed=5)
         assert [s for s, _ in a] == [s for s, _ in b]
+
+    def test_streamed_windows_draw_what_one_call_draws(self, tiny_model):
+        # Three windows of lines; the draw is the one a single scoring
+        # call over the whole input gives.
+        rng = np.random.default_rng(9)
+        sentences = [random_words(rng, 3) + "." for _ in range(2 * pipeline.WINDOW_SENTENCES + 9)]
+        scores = pipeline.score_sentences(sentences, tiny_model, 32)
+        median = float(np.median([s.hap for s in scores]))
+        pool = [(s, score) for s, score in zip(sentences, scores) if score.hap >= median]
+        expected = random.Random(4).sample(pool, 20)
+        mined = mine_high_confidence(iter(sentences), tiny_model, min_hap=median,
+                                     limit=20, seed=4)
+        assert [s for s, _ in mined] == [s for s, _ in expected]
+        for (_, got), (_, want) in zip(mined, expected):
+            assert got.hap == pytest.approx(want.hap, abs=1e-6)

@@ -116,6 +116,14 @@ class TestScore:
                         "sample": b"1\t" + data.rstrip(b"\n") + b"\tna\xc3\xafve\n"}
             assert expected[command] in from_stdin.stdout
 
+    def test_invalid_line_is_named_by_its_number(self, bundle, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(INVALID_UTF8),
+                                                          encoding="utf-8"))
+        assert main(["score", "--model", str(bundle)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\ta\n") and captured.out.count("\n") == 1
+        assert "on line 2" in captured.err
+
     def test_windows_match_one_call_over_the_whole_input(self, bundle, tmp_path, monkeypatch):
         # Five windows, every sentence repeated across them: the same lines,
         # texts and order as one score_sentences call, scores within 1e-6.
@@ -238,10 +246,13 @@ class TestStreamingDrivers:
         assert f"output {dst} would overwrite the input corpus" in captured.err
         assert src.read_bytes() == b"d1\tone line.\nd2\tanother line.\n"
 
-    @pytest.mark.parametrize("command, n_lines", [("score", 800), ("heatmap", 100)])
+    @pytest.mark.parametrize("command, n_lines",
+                             [("score", 800), ("heatmap", 100), ("sample", 800)])
     def test_memory_does_not_grow_with_input_size(self, bundle, tmp_path, command, n_lines):
         rng = np.random.default_rng(33)
         lines = [random_words(rng, 4) + "." for _ in range(4 * n_lines)]
+        # Mining with --min-hap 1.0 keeps no line, so only the window is held.
+        flags = ["--mine", "--min-hap", "1.0"] if command == "sample" else []
 
         def peak_bytes(n):
             src = tmp_path / f"in{n}.txt"
@@ -249,7 +260,7 @@ class TestStreamingDrivers:
             tracemalloc.start()
             try:
                 assert main([command, "-m", str(bundle), "--input", str(src),
-                             "--output", str(tmp_path / "out.txt")]) == 0
+                             "--output", str(tmp_path / "out.txt"), *flags]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -434,6 +445,14 @@ class TestSample:
     def test_missing_lexicon_flag(self, monkeypatch, capsys):
         code, _ = run_cli(["sample"], "x\n", monkeypatch, capsys)
         assert code == 2
+
+    def test_mine_mode_invalid_line_prints_nothing(self, bundle, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(SECOND_WINDOW_INVALID),
+                                                          encoding="utf-8"))
+        assert main(["sample", "--mine", "--model", str(bundle), "--min-hap", "0.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"on line {pipeline.WINDOW_SENTENCES + 1}" in captured.err
 
     def test_mine_mode(self, bundle, monkeypatch, capsys):
         code, captured = run_cli(

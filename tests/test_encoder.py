@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hapstack
+from hapstack import encoder
 from hapstack.encoder import (
     ATTENTION_MASK_BIAS,
     EncoderConfig,
@@ -227,12 +228,13 @@ class TestOracle:
 
 
 class TestPackedLogits:
-    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
     def test_matches_reference_on_mixed_lengths(self, num_layers):
+        # With one layer, the K/V-free final block is also the first.
         config = EncoderConfig(num_layers=num_layers, num_heads=2, hidden_size=8,
                                intermediate_size=16, vocab_size=32, max_positions=16)
         rng = np.random.default_rng(10 + num_layers)
-        lengths = [5, 2, config.max_positions, 5, 2, 9, 3, config.max_positions]
+        lengths = [5, 2, config.max_positions, 1, 5, 2, 9, 3, 1, config.max_positions]
         seqs = [make_seq(rng.integers(0, config.vocab_size, size=n).tolist()) for n in lengths]
         weights = scaled_weights(config, num_layers)
         logits = packed_logits(seqs, weights, config)
@@ -253,6 +255,66 @@ class TestPackedLogits:
             picked = rng.permutation(len(seqs))[:int(rng.integers(1, len(seqs) + 1))]
             got = packed_logits([seqs[i] for i in picked], weights, config)
             np.testing.assert_allclose(got, alone[picked], rtol=0, atol=1e-6)
+
+    def test_rows_equal_batch_of_one_on_the_production_config(self):
+        # The packed final block forms no K or V; forward_batch forms both.
+        config = piccolo_config(256)
+        weights = init_random(config, 4)
+        rng = np.random.default_rng(4)
+        seqs = [make_seq(rng.integers(4, 256, size=n).tolist()) for n in (512, 1, 23, 7, 23)]
+        packed = packed_logits(seqs, weights, config)
+        for seq, row in zip(seqs, packed):
+            np.testing.assert_allclose(row, forward_batch([seq], weights, config)[0].logits,
+                                       rtol=0, atol=1e-6)
+
+    def test_key_bias_cancels_in_the_softmax(self):
+        # q·k_bias is the same for every key of a query row, so no block
+        # adds it: random key biases leave the logits and the attention
+        # alone, and the scalar oracle, which adds them, still agrees.
+        config = EncoderConfig(num_layers=2, num_heads=2, hidden_size=8,
+                               intermediate_size=16, vocab_size=32, max_positions=16)
+        weights = scaled_weights(config, 6)
+        rng = np.random.default_rng(6)
+        lengths = [7, 1, 4, 7]
+        seqs = [make_seq(rng.integers(0, config.vocab_size, size=n).tolist()) for n in lengths]
+        padded = [make_seq(seq.ids + [0] * (7 - n), [1] * n + [0] * (7 - n))
+                  for seq, n in zip(seqs, lengths)]
+        packed = packed_logits(seqs, weights, config)
+        batched = forward_batch(padded, weights, config)
+        for layer in weights.layers:
+            layer.k_bias = rng.normal(0.0, 3.0, size=config.hidden_size).astype(np.float32)
+        np.testing.assert_allclose(packed_logits(seqs, weights, config), packed,
+                                   rtol=0, atol=1e-6)
+        for before, after in zip(batched, forward_batch(padded, weights, config)):
+            np.testing.assert_allclose(after.logits, before.logits, rtol=0, atol=1e-6)
+            for got, expected in zip(after.attentions, before.attentions):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+        for seq, row in zip(seqs, packed):
+            ref_logits, _, _ = reference_forward(seq.ids, seq.attention_mask, weights, config)
+            np.testing.assert_allclose(row, ref_logits, atol=1e-5)
+
+    def test_final_block_honours_a_mask_bias(self):
+        # _blocks with no attention list runs its final block K/V-free; on
+        # a padded run it must mask the pad columns as forward_batch does.
+        config = EncoderConfig(num_layers=2, num_heads=2, hidden_size=8,
+                               intermediate_size=16, vocab_size=32, max_positions=16)
+        weights = scaled_weights(config, 8)
+        rng = np.random.default_rng(8)
+        t, lengths = 6, [6, 3, 1]
+        seqs = [make_seq(rng.integers(0, config.vocab_size, size=n).tolist() + [0] * (t - n),
+                         [1] * n + [0] * (t - n)) for n in lengths]
+        expected = np.stack([out.logits for out in forward_batch(seqs, weights, config)])
+        ids = np.asarray([seq.ids for seq in seqs])
+        mask = np.asarray([seq.attention_mask for seq in seqs], dtype=np.float32)
+        bias = (np.float32(1.0) - mask)[:, None, None, :] * np.float32(ATTENTION_MASK_BIAS)
+
+        def logits(run_bias):
+            x = encoder._embed(ids, slice(0, t), weights, config)
+            return encoder._head(encoder._blocks(x, [(len(seqs), t, run_bias)], weights,
+                                                 config), weights)
+
+        np.testing.assert_allclose(logits(bias), expected, rtol=0, atol=1e-6)
+        assert not np.allclose(logits(None)[1:], expected[1:], atol=1e-3)
 
     @pytest.mark.parametrize("ids", [[2, 256, 3], [2] * 65], ids=["id", "length"])
     def test_rejects_what_forward_batch_rejects(self, tiny_config, ids):

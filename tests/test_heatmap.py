@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hapstack.encoder import ForwardOutput, forward_batch, init_random
+from hapstack.encoder import EncoderConfig, ForwardOutput, forward_batch, init_random
 from hapstack.heatmap import compute_heatmap, render_heatmap
-from hapstack.wordpiece import TokenizedSequence, encode, pad_sequence
+from hapstack.wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence
 
 from conftest import random_words
 
@@ -151,6 +151,38 @@ class TestRender:
         word, weight = hm.word_attributions[0]
         assert word_lines[0] == f"WORD {word} {weight:.6f}"
         assert render_heatmap(hm, "key-value-records").endswith("\n")
+
+    @staticmethod
+    def scalar_render(hm, fmt):
+        """Both renderings formatted from numpy scalars, cell by cell."""
+        if fmt == "text-grid":
+            return "\n".join(" ".join(f"{cell:.4f}" for cell in row) for row in hm.matrix)
+        size = hm.matrix.shape[0]
+        lines = [f"ATT {i} {j} {hm.matrix[i, j]:.6f}" for i in range(size) for j in range(size)]
+        lines += [f"WORD {word} {weight:.6f}" for word, weight in hm.word_attributions]
+        return "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 40])
+    def test_random_matrices_render_as_numpy_scalars_do(self, size):
+        rng = np.random.default_rng(size)
+        attention = rng.dirichlet(np.full(size, 0.3), size=(3, size)).astype(np.float32)
+        attention[0, 0, :2] = [0.00005, 0.5][:size]  # near and at rounding ties
+        seq = TokenizedSequence(ids=list(range(size)), attention_mask=[1] * size,
+                                word_spans=[(0, 0, size)], pieces=["p"] * size, words=["w"])
+        hm = compute_heatmap(synthetic_output(attention), seq)
+        for fmt in ("text-grid", "key-value-records"):
+            assert render_heatmap(hm, fmt) == self.scalar_render(hm, fmt)
+
+    def test_readme_example_renders_as_numpy_scalars_do(self):
+        # The README's model (init-random --config 4,12,576,768,4096,512
+        # --seed 0) and heatmap sentence.
+        config = EncoderConfig(num_layers=4, num_heads=12, hidden_size=576,
+                               intermediate_size=768, vocab_size=4096, max_positions=512)
+        weights = init_random(config, 0)
+        seq = encode("a plainly bad sentence.", build_ascii_vocab(4096), 512, pad_to_max=False)
+        hm = compute_heatmap(forward_batch([seq], weights, config)[0], seq)
+        for fmt in ("text-grid", "key-value-records"):
+            assert render_heatmap(hm, fmt) == self.scalar_render(hm, fmt)
 
     def test_unknown_format(self, tiny_model):
         config, weights, vocab = tiny_model

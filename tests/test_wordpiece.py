@@ -113,6 +113,13 @@ class TestSplitLines:
         with pytest.raises(UnicodeDecodeError):
             next(lines)
 
+    def test_invalid_line_error_names_its_line(self):
+        data = b"a\nb\n\xce\xbb \xff\nc\n"
+        with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+            with pytest.raises(UnicodeDecodeError, match="on line 3$") as raised:
+                list(iter_lines(None))
+        assert (raised.value.start, raised.value.object) == (3, b"\xce\xbb \xff")
+
 
 class TestTokenizeWord:
     def test_greedy_decomposition(self, tiny_vocab):
