@@ -11,15 +11,17 @@ runs a padded batch, with pad columns masked out of every attention row,
 and returns every layer's attention probabilities with the logits;
 ``packed_logits`` scores unpadded sequences of any lengths with no
 padding and keeps no attention. Only the pooler reads the final block,
-so past its attention that block runs on the classification rows alone;
-with no attention kept, it also forms no K or V (``_cls_attention``).
-No block adds ``k_bias``: it shifts all of a query's scores alike, which
-the softmax cancels.
+so for both entries its context is that of the classification rows
+alone, with no K or V projection (``_cls_attention``); ``forward_batch``
+forms its Q and K only to return its attention. No block adds
+``k_bias``: it shifts all of a query's scores alike, which the softmax
+cancels.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, groupby
 
@@ -297,46 +299,50 @@ def _check_ids(ids: np.ndarray, shortest: int, longest: int, config: EncoderConf
                          f"{config.vocab_size}: [{ids.min()}, {ids.max()}]")
 
 
-def _attention(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
-               layer: LayerWeights, config: EncoderConfig,
-               attentions: list[np.ndarray] | None, cls_only: bool = False) -> np.ndarray:
-    """The attention context [N, hidden] of every row of ``x``, or, with
-    ``cls_only``, of each sequence's classification row alone, [B, hidden].
-
-    Q, K and V are one GEMM each over all rows; attention runs per run as
-    [b, heads, t, t]. K carries no ``k_bias``: q·k_bias is the same for
-    every key of a query row, so it cancels in the softmax. When
-    ``attentions`` is a list, each run's probabilities are appended to it.
-    """
-    heads, head_dim, hidden = config.num_heads, config.head_dim, config.hidden_size
+def _probabilities(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
+                   layer: LayerWeights, config: EncoderConfig
+                   ) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield each run's rows of ``x`` and its attention probabilities
+    [b, heads, t, t]. Q and K are one GEMM each over all rows; each run's
+    scores are scaled, biased and softmaxed in place. K carries no
+    ``k_bias``: q·k_bias is the same for every key of a query row, so it
+    cancels in the softmax."""
+    heads, head_dim = config.num_heads, config.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
     q = x @ layer.q_weight
     q += layer.q_bias
     k = x @ layer.k_weight
-    v = x @ layer.v_weight
-    v += layer.v_bias
-    context = np.empty((sum(b for b, _, _ in runs) if cls_only else len(x), hidden),
-                       dtype=np.float32)
-    begin = row = 0  # the run's first token and first sequence
+    begin = 0
     for b, t, bias in runs:
         stop = begin + b * t
-        q_run = q[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-        k_run = k[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 3, 1)
-        v_run = v[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-        scores = q_run @ k_run
+        scores = (q[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
+                  @ k[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 3, 1))
         scores *= scale
         if bias is not None:
             scores += bias
-        probs = _softmax(scores)
+        yield slice(begin, stop), _softmax(scores)
+        del scores  # freed before the next run allocates its scores
+        begin = stop
+
+
+def _attention(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
+               layer: LayerWeights, config: EncoderConfig,
+               attentions: list[np.ndarray] | None) -> np.ndarray:
+    """The attention context [N, hidden] of every row of ``x``: V is one
+    GEMM over all rows, and each run's ``_probabilities`` weight it. When
+    ``attentions`` is a list, each run's probabilities are appended to it.
+    """
+    heads, head_dim = config.num_heads, config.head_dim
+    v = x @ layer.v_weight
+    v += layer.v_bias
+    context = np.empty_like(v)
+    for rows, probs in _probabilities(x, runs, layer, config):
         if attentions is not None:
             attentions.append(probs)
-        if cls_only:
-            context[row:row + b] = (probs[:, :, :1] @ v_run).reshape(b, hidden)
-        else:
-            context[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)[...] = (
-                probs @ v_run)
-        del scores, probs  # freed before the next run or block allocates its scores
-        begin, row = stop, row + b
+        b, t = len(probs), probs.shape[-1]
+        context[rows].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)[...] = (
+            probs @ v[rows].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3))
+        del probs  # freed before the next run or block allocates its scores
     return context
 
 
@@ -351,7 +357,8 @@ def _cls_attention(x: np.ndarray, cls: np.ndarray,
     the second term is the same for every key, so it cancels in the
     softmax. Each row of the probabilities p_h sums to 1, so the context
     p_h·(X·W_v,h + b_v,h) is (p_h·X)·W_v,h + b_v,h. A run's mask bias is
-    added to its scores, as in ``_attention``.
+    added to its scores, as in ``_probabilities``. This is the final
+    block's only context, for both entries.
     """
     heads, head_dim, hidden = config.num_heads, config.head_dim, config.hidden_size
     q = x[cls] @ layer.q_weight
@@ -404,11 +411,10 @@ def _blocks(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
     sequences of length ``t`` and None or an additive [b, 1, 1, t] mask
     bias. Projections, the FFN, gelu and layernorms run once per block
     over all rows (``_attention``, then ``_block``). Only the pooler reads
-    the final block's output, so that block runs past its attention on the
-    classification rows alone. With ``attentions`` None, its attention is
-    ``_cls_attention``, which forms no K or V; when ``attentions`` is a
-    list, the final block computes every query row too, and every block's
-    probabilities of every run are appended to it.
+    the final block's output, so that block runs on the classification
+    rows alone, from the context of ``_cls_attention``. When
+    ``attentions`` is a list, every block's probabilities of every run are
+    appended to it; the final block's come from ``_probabilities``.
     """
     eps = config.layernorm_epsilon
     lengths = np.repeat([t for _, t, _ in runs], [b for b, _, _ in runs])
@@ -416,11 +422,9 @@ def _blocks(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
     *inner, final = weights.layers
     for layer in inner:
         x = _block(x, _attention(x, runs, layer, config, attentions), layer, eps)
-    if attentions is None:
-        context = _cls_attention(x, cls, runs, final, config)
-    else:
-        context = _attention(x, runs, final, config, attentions, cls_only=True)
-    return _block(x[cls], context, final, eps)
+    if attentions is not None:
+        attentions.extend(probs for _, probs in _probabilities(x, runs, final, config))
+    return _block(x[cls], _cls_attention(x, cls, runs, final, config), final, eps)
 
 
 def _head(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
@@ -477,7 +481,7 @@ def packed_logits(seqs: list[TokenizedSequence], weights: ModelWeights,
     padding, so each block's projections and FFN run as one GEMM over every
     real token, and attention runs per run of equal-length sequences with
     no mask (see ``_blocks``). A row agrees with ``forward_batch([seq])``
-    within float32 matmul noise, whatever its batch-mates.
+    within float32 matmul noise whatever its batch-mates, and equals it alone.
     """
     if not seqs:
         return np.empty((0, config.num_labels), dtype=np.float32)

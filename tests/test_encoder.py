@@ -257,7 +257,8 @@ class TestPackedLogits:
             np.testing.assert_allclose(got, alone[picked], rtol=0, atol=1e-6)
 
     def test_rows_equal_batch_of_one_on_the_production_config(self):
-        # The packed final block forms no K or V; forward_batch forms both.
+        # Batch-mates change the GEMM shapes, so a packed row agrees with
+        # the sentence run alone up to float32 matmul noise.
         config = piccolo_config(256)
         weights = init_random(config, 4)
         rng = np.random.default_rng(4)
@@ -265,6 +266,29 @@ class TestPackedLogits:
         packed = packed_logits(seqs, weights, config)
         for seq, row in zip(seqs, packed):
             np.testing.assert_allclose(row, forward_batch([seq], weights, config)[0].logits,
+                                       rtol=0, atol=1e-6)
+
+    def test_both_entries_give_one_logit_per_sentence(self):
+        # Both entries run one sentence through the same blocks, the same
+        # K/V-free final block included, so their logits are equal.
+        config = piccolo_config(256)
+        weights = init_random(config, 5)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 23, 512):
+            seq = make_seq(rng.integers(4, 256, size=n).tolist())
+            np.testing.assert_array_equal(forward_batch([seq], weights, config)[0].logits,
+                                          packed_logits([seq], weights, config)[0])
+
+    def test_padded_rows_match_packed_rows(self):
+        config = piccolo_config(256)
+        weights = init_random(config, 6)
+        rng = np.random.default_rng(6)
+        t, lengths = 40, [40, 1, 17, 33, 2]
+        seqs = [make_seq(rng.integers(4, 256, size=n).tolist()) for n in lengths]
+        padded = [make_seq(seq.ids + [0] * (t - n), [1] * n + [0] * (t - n))
+                  for seq, n in zip(seqs, lengths)]
+        for seq, out in zip(seqs, forward_batch(padded, weights, config)):
+            np.testing.assert_allclose(out.logits, packed_logits([seq], weights, config)[0],
                                        rtol=0, atol=1e-6)
 
     def test_key_bias_cancels_in_the_softmax(self):
@@ -294,8 +318,9 @@ class TestPackedLogits:
             np.testing.assert_allclose(row, ref_logits, atol=1e-5)
 
     def test_final_block_honours_a_mask_bias(self):
-        # _blocks with no attention list runs its final block K/V-free; on
-        # a padded run it must mask the pad columns as forward_batch does.
+        # Both entries take the K/V-free final block, forward_batch on
+        # padded runs: it must mask the pad columns, so the padded rows
+        # give the scalar oracle's logits, and do not without the bias.
         config = EncoderConfig(num_layers=2, num_heads=2, hidden_size=8,
                                intermediate_size=16, vocab_size=32, max_positions=16)
         weights = scaled_weights(config, 8)
@@ -303,7 +328,10 @@ class TestPackedLogits:
         t, lengths = 6, [6, 3, 1]
         seqs = [make_seq(rng.integers(0, config.vocab_size, size=n).tolist() + [0] * (t - n),
                          [1] * n + [0] * (t - n)) for n in lengths]
-        expected = np.stack([out.logits for out in forward_batch(seqs, weights, config)])
+        expected = np.stack([reference_forward(seq.ids, seq.attention_mask, weights, config)[0]
+                             for seq in seqs])
+        batched = np.stack([out.logits for out in forward_batch(seqs, weights, config)])
+        np.testing.assert_allclose(batched, expected, rtol=0, atol=1e-5)
         ids = np.asarray([seq.ids for seq in seqs])
         mask = np.asarray([seq.attention_mask for seq in seqs], dtype=np.float32)
         bias = (np.float32(1.0) - mask)[:, None, None, :] * np.float32(ATTENTION_MASK_BIAS)
@@ -313,7 +341,7 @@ class TestPackedLogits:
             return encoder._head(encoder._blocks(x, [(len(seqs), t, run_bias)], weights,
                                                  config), weights)
 
-        np.testing.assert_allclose(logits(bias), expected, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(logits(bias), batched)
         assert not np.allclose(logits(None)[1:], expected[1:], atol=1e-3)
 
     @pytest.mark.parametrize("ids", [[2, 256, 3], [2] * 65], ids=["id", "length"])
