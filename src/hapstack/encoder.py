@@ -11,9 +11,8 @@ runs a padded batch, with pad columns masked out of every attention row,
 and returns every layer's attention probabilities with the logits;
 ``packed_logits`` scores unpadded sequences of any lengths with no
 padding and keeps no attention. Only the pooler reads the final block,
-so for both entries its context is that of the classification rows
-alone, with no K or V projection (``_cls_attention``); ``forward_batch``
-forms its Q and K only to return its attention. No block adds
+so for both it runs on the classification rows alone, with a context
+that needs no K or V projection (``_cls_attention``). No block adds
 ``k_bias``: it shifts all of a query's scores alike, which the softmax
 cancels.
 """
@@ -299,19 +298,13 @@ def _check_ids(ids: np.ndarray, shortest: int, longest: int, config: EncoderConf
                          f"{config.vocab_size}: [{ids.min()}, {ids.max()}]")
 
 
-def _probabilities(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
-                   layer: LayerWeights, config: EncoderConfig
-                   ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield each run's rows of ``x`` and its attention probabilities
-    [b, heads, t, t]. Q and K are one GEMM each over all rows; each run's
-    scores are scaled, biased and softmaxed in place. K carries no
-    ``k_bias``: q·k_bias is the same for every key of a query row, so it
-    cancels in the softmax."""
+def _probabilities(q: np.ndarray, k: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
+                   config: EncoderConfig) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield each run's rows and its attention probabilities [b, heads, t, t],
+    from the queries ``q`` and keys ``k`` [N, hidden] of every row: each
+    run's scores are scaled, biased and softmaxed in place."""
     heads, head_dim = config.num_heads, config.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
-    q = x @ layer.q_weight
-    q += layer.q_bias
-    k = x @ layer.k_weight
     begin = 0
     for b, t, bias in runs:
         stop = begin + b * t
@@ -328,15 +321,20 @@ def _probabilities(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]]
 def _attention(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
                layer: LayerWeights, config: EncoderConfig,
                attentions: list[np.ndarray] | None) -> np.ndarray:
-    """The attention context [N, hidden] of every row of ``x``: V is one
-    GEMM over all rows, and each run's ``_probabilities`` weight it. When
-    ``attentions`` is a list, each run's probabilities are appended to it.
+    """The attention context [N, hidden] of every row of ``x``. Q, K and V
+    are one GEMM each over all rows, and each run's ``_probabilities``
+    weight V. K carries no ``k_bias``: q·k_bias is the same for every key
+    of a query row, so it cancels in the softmax. When ``attentions`` is a
+    list, each run's probabilities are appended to it.
     """
     heads, head_dim = config.num_heads, config.head_dim
+    q = x @ layer.q_weight
+    q += layer.q_bias
+    k = x @ layer.k_weight
     v = x @ layer.v_weight
     v += layer.v_bias
     context = np.empty_like(v)
-    for rows, probs in _probabilities(x, runs, layer, config):
+    for rows, probs in _probabilities(q, k, runs, config):
         if attentions is not None:
             attentions.append(probs)
         b, t = len(probs), probs.shape[-1]
@@ -357,8 +355,7 @@ def _cls_attention(x: np.ndarray, cls: np.ndarray,
     the second term is the same for every key, so it cancels in the
     softmax. Each row of the probabilities p_h sums to 1, so the context
     p_h·(X·W_v,h + b_v,h) is (p_h·X)·W_v,h + b_v,h. A run's mask bias is
-    added to its scores, as in ``_probabilities``. This is the final
-    block's only context, for both entries.
+    added to its scores, as in ``_probabilities``.
     """
     heads, head_dim, hidden = config.num_heads, config.head_dim, config.hidden_size
     q = x[cls] @ layer.q_weight
@@ -423,7 +420,8 @@ def _blocks(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
     for layer in inner:
         x = _block(x, _attention(x, runs, layer, config, attentions), layer, eps)
     if attentions is not None:
-        attentions.extend(probs for _, probs in _probabilities(x, runs, final, config))
+        attentions.extend(probs for _, probs in _probabilities(
+            x @ final.q_weight + final.q_bias, x @ final.k_weight, runs, config))
     return _block(x[cls], _cls_attention(x, cls, runs, final, config), final, eps)
 
 

@@ -52,7 +52,9 @@ MALFORMED_LINES_REPORTED = 5
 # for tasks across documents or lines, small enough that memory stays flat.
 WINDOW_SENTENCES = 256
 # Most real tokens per scoring task, unless the task is one sentence.
-# The sweep behind 512 is in CHANGES.md ("Padding-free scoring forward").
+# Larger tasks run fewer, larger GEMMs, but a window's longest task then
+# runs alone while the other pool threads wait. The sweep behind 512 is in
+# CHANGES.md ("Padding-free scoring forward").
 TOKEN_BUDGET = 512
 # (set, get) thread-count functions of OpenBLAS, in the order they are
 # tried: numpy's wheels export the scipy_openblas 64-bit-integer names,
@@ -189,8 +191,12 @@ def _openblas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | Non
 def _scoring_pool() -> Iterator[ThreadPoolExecutor | None]:
     """A thread pool with one worker per usable CPU, with OpenBLAS pinned
     to one thread until the last overlapping run leaves; None, for the
-    sequential path, with one CPU or no OpenBLAS found. The measurements
-    behind one task per core: CHANGES.md, "Corpus windows scored on every core".
+    sequential path, with one CPU or no OpenBLAS found.
+
+    Whole tasks on every core beat one task whose GEMMs use every core:
+    a forward's elementwise stages run on one core, and two pool threads
+    on a BLAS that keeps its own threads contend for the same cores (see
+    CHANGES.md, "Corpus windows scored on every core").
     """
     global _pinned_runs, _unpinned_threads
     # OpenBLAS is looked up on Linux only, where sched_getaffinity exists.

@@ -53,13 +53,12 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         self.tokens = tuple(self.tokens)
-        self.token_to_id = dict(zip(self.tokens, range(len(self.tokens))))
-        if len(self.token_to_id) != len(self.tokens):
-            first: dict[str, int] = {}
-            for idx, token in enumerate(self.tokens):
-                if (seen := first.setdefault(token, idx)) != idx:
-                    raise DuplicateTokenError(f"duplicate token {token!r} at ids "
-                                              f"{seen} and {idx}")
+        self.token_to_id = {}
+        for idx, token in enumerate(self.tokens):
+            if token in self.token_to_id:
+                raise DuplicateTokenError(f"duplicate token {token!r} at ids "
+                                          f"{self.token_to_id[token]} and {idx}")
+            self.token_to_id[token] = idx
         for token in SPECIAL_TOKENS:
             if token not in self.token_to_id:
                 raise MissingSpecialTokenError(f"vocabulary has no {token} token")

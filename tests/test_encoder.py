@@ -279,15 +279,20 @@ class TestPackedLogits:
             np.testing.assert_array_equal(forward_batch([seq], weights, config)[0].logits,
                                           packed_logits([seq], weights, config)[0])
 
-    def test_padded_rows_match_packed_rows(self):
+    def test_padded_rows_match_the_oracle_on_the_production_config(self):
+        # The shared final block checked against the scalar oracle at
+        # production dimensions, on a padded pair (a short one: the oracle
+        # takes about a second per token here).
         config = piccolo_config(256)
         weights = init_random(config, 6)
         rng = np.random.default_rng(6)
-        t, lengths = 40, [40, 1, 17, 33, 2]
+        t, lengths = 2, [2, 1]
         seqs = [make_seq(rng.integers(4, 256, size=n).tolist()) for n in lengths]
         padded = [make_seq(seq.ids + [0] * (t - n), [1] * n + [0] * (t - n))
                   for seq, n in zip(seqs, lengths)]
-        for seq, out in zip(seqs, forward_batch(padded, weights, config)):
+        for seq, pad, out in zip(seqs, padded, forward_batch(padded, weights, config)):
+            ref_logits, _, _ = reference_forward(pad.ids, pad.attention_mask, weights, config)
+            np.testing.assert_allclose(out.logits, ref_logits, rtol=0, atol=1e-5)
             np.testing.assert_allclose(out.logits, packed_logits([seq], weights, config)[0],
                                        rtol=0, atol=1e-6)
 
