@@ -66,14 +66,14 @@ def render_heatmap(heatmap: AttentionHeatmap, format: str = "text-grid") -> str:
     ``key-value-records`` emits LF-terminated ``ATT <i> <j> <weight>`` and
     ``WORD <word> <weight>`` lines with 6-decimal weights.
     """
-    # Python floats format faster than numpy scalars, to the same text.
-    rows = heatmap.matrix.tolist()
+    # One % format over every cell, as Python floats (faster than numpy
+    # scalars, to the same text).
+    rows, cols = heatmap.matrix.shape
+    cells = tuple(heatmap.matrix.ravel().tolist())
     if format == "text-grid":
-        return "\n".join(" ".join(f"{cell:.4f}" for cell in row) for row in rows)
+        return "\n".join([" ".join(["%.4f"] * cols)] * rows) % cells
     if format == "key-value-records":
-        lines = [f"ATT {i} {j} {cell:.6f}"
-                 for i, row in enumerate(rows) for j, cell in enumerate(row)]
-        for word, weight in heatmap.word_attributions:
-            lines.append(f"WORD {word} {weight:.6f}")
-        return "".join(line + "\n" for line in lines)
+        matrix = "".join([f"ATT {i} {j} %.6f\n" for i in range(rows) for j in range(cols)])
+        return matrix % cells + "".join(f"WORD {word} {weight:.6f}\n"
+                                        for word, weight in heatmap.word_attributions)
     raise ValueError(f"unknown render format {format!r}, expected one of {RENDER_FORMATS}")

@@ -94,7 +94,10 @@ def save_bundle(config: EncoderConfig, weights: ModelWeights, vocab: Vocabulary,
         if arr.shape != tuple(dims):
             raise ShapeMismatchError(
                 f"tensor {name} has shape {arr.shape}, expected {tuple(dims)}")
-        if not np.isfinite(arr).all():
+        # Checked as stored: a finite value beyond float32's range casts to inf.
+        with np.errstate(over="ignore"):
+            tensors[name] = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(tensors[name]).all():
             raise NonFiniteTensorError(f"tensor {name} contains non-finite values")
 
     sections = [text.encode("utf-8") for text in (  # encoding may fail, so before open
@@ -103,7 +106,7 @@ def save_bundle(config: EncoderConfig, weights: ModelWeights, vocab: Vocabulary,
     with open(path, "wb") as dst:
         dst.write(MAGIC + b"".join(struct.pack("<I", len(s)) + s for s in sections))
         for name, _, _, _ in table:
-            dst.write(np.ascontiguousarray(tensors[name], dtype="<f4"))
+            dst.write(tensors[name])
 
 
 def load_bundle(path: str | Path) -> LoadedModel:

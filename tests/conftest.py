@@ -53,13 +53,17 @@ def random_words(rng: np.random.Generator, n_words: int) -> str:
 
 
 @contextlib.contextmanager
-def two_cpus(blas=None):
+def two_cpus(blas=None, park=None):
     """Two usable CPUs and ``blas`` as the OpenBLAS (set, get) pair, so that
-    a streaming run takes the pooled path; without ``blas``, the OpenBLAS
-    found in this process, or a no-op pair where there is none."""
-    blas = blas or pipeline._openblas_threads() or (lambda n: None, lambda: 1)
+    a streaming run takes the pooled path, with ``park`` as its park
+    function; without ``blas``, the OpenBLAS found in this process and its
+    park, or a no-op pair where there is none."""
+    if blas is None:
+        blas = pipeline._openblas_threads() or (lambda n: None, lambda: 1)
+        park = pipeline._openblas_park()
     with (mock.patch.object(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
-          mock.patch.object(pipeline, "_openblas_threads", lambda: blas)):
+          mock.patch.object(pipeline, "_openblas_threads", lambda: blas),
+          mock.patch.object(pipeline, "_openblas_park", lambda: park)):
         yield
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
+import warnings
 from math import prod
 
 import numpy as np
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hapstack.encoder import EncoderConfig, init_random, named_tensors, tensor_shapes
+from hapstack.encoder import (
+    EncoderConfig,
+    init_random,
+    named_tensors,
+    tensor_shapes,
+    weights_from_tensors,
+)
 from hapstack.model_io import (
     MAGIC,
     BadMagicError,
@@ -78,10 +85,13 @@ def test_saves_are_byte_identical(tmp_path):
     vocab = build_ascii_vocab(64)
     config = small_config(len(vocab))
     weights = init_random(config, 3)
-    p1, p2 = tmp_path / "a.hap", tmp_path / "b.hap"
+    p1, p2, p3 = tmp_path / "a.hap", tmp_path / "b.hap", tmp_path / "float64.hap"
     save_bundle(config, weights, vocab, p1)
     save_bundle(config, weights, vocab, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    wide = weights_from_tensors({name: arr.astype(np.float64) for name, arr
+                                 in named_tensors(weights, config).items()}, config)
+    save_bundle(config, wide, vocab, p3)
+    assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
 
 def test_shape_mismatch_on_save(tmp_path):
@@ -374,7 +384,11 @@ def test_huge_section_length_allocates_nothing(tmp_path):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("defect", ["nan", "shape"])
+FAILED_SAVE_TENSOR = {"nan": "ffn_up_weight", "shape": "token_embedding",
+                      "float32 overflow": "classifier_bias"}
+
+
+@pytest.mark.parametrize("defect", FAILED_SAVE_TENSOR)
 def test_failed_save_leaves_existing_file(tmp_path, defect):
     vocab = build_ascii_vocab(64)
     config = small_config(len(vocab))
@@ -384,8 +398,12 @@ def test_failed_save_leaves_existing_file(tmp_path, defect):
     weights = init_random(config, 1)
     if defect == "nan":
         weights.layers[0].ffn_up_weight[0, 0] = np.nan
-    else:
+    elif defect == "shape":
         weights.token_embedding = weights.token_embedding[:-1]
-    with pytest.raises(BundleError):
-        save_bundle(config, weights, vocab, path)
+    else:
+        weights.classifier_bias = np.array([0.0, 1e39])  # finite until stored as float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BundleError, match=FAILED_SAVE_TENSOR[defect]):
+            save_bundle(config, weights, vocab, path)
     assert path.read_bytes() == before

@@ -599,6 +599,74 @@ class TestScoringPool:
             run_corpus(self._corpus(tmp_path), tmp_path / "out.tsv", tiny_model, RunConfig())
         assert set_threads.call_args_list == [mock.call(1), mock.call(2)]
 
+    @staticmethod
+    def _blas_spies():
+        """One mock whose ``mock_calls`` order the pin, the park and the
+        restore; the count before the pin is 2."""
+        blas = mock.Mock()
+        blas.get_threads.return_value = 2
+        return blas, two_cpus((blas.set_threads, blas.get_threads), park=blas.park)
+
+    def test_first_run_in_parks_once_after_pinning(self):
+        blas, pooled = self._blas_spies()
+        with pooled:
+            with pipeline._scoring_pool() as first, pipeline._scoring_pool() as second:
+                assert first is not None and second is not None
+        assert blas.mock_calls == [mock.call.get_threads(), mock.call.set_threads(1),
+                                   mock.call.park(), mock.call.set_threads(2)]
+
+    def test_no_park_while_another_thread_is_alive(self, tiny_model, tmp_path):
+        # Parking while another thread's multithreaded call is in flight
+        # deadlocks OpenBLAS.
+        blas, pooled = self._blas_spies()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            with pooled:
+                run_corpus(self._corpus(tmp_path), tmp_path / "out.tsv", tiny_model, RunConfig())
+        finally:
+            release.set()
+            other.join(30)
+        assert blas.mock_calls == [mock.call.get_threads(), mock.call.set_threads(1),
+                                   mock.call.set_threads(2)]
+
+    @pytest.mark.parametrize("cpus, found", [({0}, True), ({0, 1}, False)],
+                             ids=["one CPU", "no OpenBLAS"])
+    def test_no_park_on_the_sequential_path(self, cpus, found):
+        blas, pooled = self._blas_spies()
+        unfound = mock.patch.object(pipeline, "_openblas_threads", lambda: None)
+        with (pooled, mock.patch.object(pipeline.os, "sched_getaffinity", lambda pid: cpus),
+              contextlib.nullcontext() if found else unfound):
+            with pipeline._scoring_pool() as pool:
+                assert pool is None
+        assert blas.mock_calls == []
+
+    def test_pin_without_the_park_symbol(self):
+        blas, pooled = self._blas_spies()
+        with mock.patch.object(pipeline, "_openblas_library", lambda: (object(), "set", "get")):
+            assert pipeline._openblas_park() is None
+        with pooled, mock.patch.object(pipeline, "_openblas_park", lambda: None):
+            with pipeline._scoring_pool() as pool:
+                assert pool is not None
+        assert blas.mock_calls == [mock.call.get_threads(), mock.call.set_threads(1),
+                                   mock.call.set_threads(2)]
+
+    def test_parking_stops_the_spin_of_real_openblas(self, openblas):
+        if pipeline._openblas_park() is None:
+            pytest.skip("this OpenBLAS exports no blas_thread_shutdown_")
+        set_threads, get_threads = openblas
+        set_threads(2)
+        a, b = np.random.default_rng(0).standard_normal((2, 256, 256), dtype=np.float32)
+        product = a @ b  # a 2-thread GEMM, after which OpenBLAS's worker spins
+        start = time.process_time()
+        with two_cpus(), pipeline._scoring_pool() as pool:
+            assert pool is not None
+            time.sleep(0.3)
+        assert time.process_time() - start < 0.05  # about 0.12 s without the park
+        assert get_threads() == 2
+        assert np.array_equal(a @ b, product)
+
 
 _ID = st.text("abc019", min_size=1, max_size=3)
 _TEXT = st.text("ab .!\r\t", max_size=12)
