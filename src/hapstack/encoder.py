@@ -81,8 +81,9 @@ class EncoderConfig:
                              f"num_heads {self.num_heads}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
-        if not self.layernorm_epsilon > 0:  # also rejects NaN
-            raise ValueError("layernorm_epsilon must be positive")
+        eps = self.layernorm_epsilon  # the forward adds it in float32
+        if isinstance(eps, bool) or not 0 < eps <= float(np.finfo(np.float32).max):
+            raise ValueError("layernorm_epsilon must be positive and finite in float32")
 
     @property
     def head_dim(self) -> int:

@@ -163,10 +163,15 @@ def _batch_indices(seqs: list[TokenizedSequence], batch_size: int,
 
 
 @cache
-def _openblas_library() -> tuple[ctypes.CDLL, str, str] | None:
-    """The OpenBLAS mapped into this process and the names of its (set,
-    get) thread-count functions, or None on a platform other than Linux,
-    with another BLAS, or when the lookup fails."""
+def _openblas() -> tuple[Callable[[int], None], Callable[[], int],
+                         Callable[[], None] | None] | None:
+    """The (set_threads, get_threads, park) functions of the OpenBLAS mapped
+    into this process, or None on a platform other than Linux, with another
+    BLAS, or when the lookup fails. ``park`` is ``blas_thread_shutdown_``,
+    or None where it is not exported: it stops OpenBLAS's worker threads,
+    which otherwise spin for a while after each multithreaded call, and
+    OpenBLAS starts them again at its next thread-count change or
+    multithreaded call."""
     if not sys.platform.startswith("linux"):
         return None
     try:
@@ -178,46 +183,26 @@ def _openblas_library() -> tuple[ctypes.CDLL, str, str] | None:
             library = ctypes.CDLL(path)
             for set_name, get_name in OPENBLAS_THREAD_FUNCTIONS:
                 if hasattr(library, set_name) and hasattr(library, get_name):
-                    return library, set_name, get_name
+                    set_threads = getattr(library, set_name)
+                    get_threads = getattr(library, get_name)
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    if (park := getattr(library, "blas_thread_shutdown_", None)) is not None:
+                        park.argtypes, park.restype = [], None
+                    return set_threads, get_threads, park
     except OSError:
         return None
     return None
 
 
-def _openblas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
-    """The (set, get) thread-count functions of ``_openblas_library``, or
-    None where it found none."""
-    if (found := _openblas_library()) is None:
-        return None
-    library, set_name, get_name = found
-    set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return set_threads, get_threads
-
-
-def _openblas_park() -> Callable[[], None] | None:
-    """``blas_thread_shutdown_`` of ``_openblas_library``, or None where it
-    is not exported. It stops OpenBLAS's worker threads, which otherwise
-    spin for about 0.1 s after each multithreaded call; OpenBLAS starts
-    them again at its next thread-count change or multithreaded call."""
-    if (found := _openblas_library()) is None:
-        return None
-    park = getattr(found[0], "blas_thread_shutdown_", None)
-    if park is not None:
-        park.argtypes, park.restype = [], None
-    return park
-
-
 @contextmanager
 def _scoring_pool() -> Iterator[ThreadPoolExecutor | None]:
-    """A thread pool with one worker per usable CPU, with OpenBLAS pinned
-    to one thread until the last overlapping run leaves; None, for the
-    sequential path, with one CPU or no OpenBLAS found. When its caller is
-    the process's only Python thread, the first run in also parks
-    OpenBLAS's worker threads (``_openblas_park``), so workers still
-    spinning after an earlier multithreaded call leave the cores to the
-    pool.
+    """A thread pool with one worker per usable CPU, with OpenBLAS
+    (``_openblas``) pinned to one thread until the last overlapping run
+    leaves; None, for the sequential path, with one CPU or no OpenBLAS
+    found. When its caller is the process's only Python thread, the first
+    run in also parks OpenBLAS's worker threads, so workers still spinning
+    after an earlier multithreaded call leave the cores to the pool.
 
     Whole tasks on every core beat one task whose GEMMs use every core:
     a forward's elementwise stages run on one core, and two pool threads
@@ -226,18 +211,18 @@ def _scoring_pool() -> Iterator[ThreadPoolExecutor | None]:
     """
     global _pinned_runs, _unpinned_threads
     # OpenBLAS is looked up on Linux only, where sched_getaffinity exists.
-    blas = _openblas_threads()
+    blas = _openblas()
     if blas is None or (workers := len(os.sched_getaffinity(0))) < 2:
         yield None
         return
-    set_threads, get_threads = blas
+    set_threads, get_threads, park = blas
     with _pin_lock:
         if _pinned_runs == 0:
             _unpinned_threads = get_threads()
             set_threads(1)
             # Parking while another thread's multithreaded call is in
             # flight deadlocks, so only a process's sole thread parks.
-            if threading.active_count() == 1 and (park := _openblas_park()) is not None:
+            if threading.active_count() == 1 and park is not None:
                 park()
         _pinned_runs += 1
     try:

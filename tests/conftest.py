@@ -53,17 +53,14 @@ def random_words(rng: np.random.Generator, n_words: int) -> str:
 
 
 @contextlib.contextmanager
-def two_cpus(blas=None, park=None):
-    """Two usable CPUs and ``blas`` as the OpenBLAS (set, get) pair, so that
-    a streaming run takes the pooled path, with ``park`` as its park
-    function; without ``blas``, the OpenBLAS found in this process and its
-    park, or a no-op pair where there is none."""
+def two_cpus(blas=None):
+    """Two usable CPUs and ``blas`` as the OpenBLAS (set, get, park) triple,
+    so that a streaming run takes the pooled path; without ``blas``, the
+    OpenBLAS found in this process, or a no-op triple where there is none."""
     if blas is None:
-        blas = pipeline._openblas_threads() or (lambda n: None, lambda: 1)
-        park = pipeline._openblas_park()
+        blas = pipeline._openblas() or (lambda n: None, lambda: 1, None)
     with (mock.patch.object(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
-          mock.patch.object(pipeline, "_openblas_threads", lambda: blas),
-          mock.patch.object(pipeline, "_openblas_park", lambda: park)):
+          mock.patch.object(pipeline, "_openblas", lambda: blas)):
         yield
 
 
@@ -85,7 +82,8 @@ def read_raw_bundle(path):
 
 
 def write_raw_bundle(path, config, tokens, tensors, order=None):
-    """Write a HAP1 file from parts, without the library's checks. Tokens are
+    """Write a HAP1 file from parts, without the library's checks. ``config``
+    is a dict, or the config record's JSON text as a string. Tokens are
     encoded with ``surrogateescape``, so a lone surrogate such as ``"\\udcff"``
     writes the invalid UTF-8 byte 0xff. The table is name-sorted; the payload
     holds the tensors in ``order`` (default: name order), which the offsets
@@ -97,7 +95,9 @@ def write_raw_bundle(path, config, tokens, tensors, order=None):
         payload += arr.tobytes()
         offset += arr.nbytes
     table = [entries[name] for name in sorted(entries)]
-    sections = [json.dumps(config, sort_keys=True).encode("utf-8"),
+    if not isinstance(config, str):
+        config = json.dumps(config, sort_keys=True)
+    sections = [config.encode("utf-8"),
                 "\n".join(tokens).encode("utf-8", "surrogateescape"),
                 json.dumps(table).encode("utf-8")]
     path.write_bytes(b"HAP1" + b"".join(struct.pack("<I", len(s)) + s for s in sections)

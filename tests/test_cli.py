@@ -157,8 +157,7 @@ class TestScore:
 
         outputs = {}
         for name, blas in (("pooled", two_cpus()),
-                           ("sequential", mock.patch.object(pipeline, "_openblas_threads",
-                                                            lambda: None))):
+                           ("sequential", mock.patch.object(pipeline, "_openblas", lambda: None))):
             outputs[name] = tmp_path / f"{name}.tsv"
             with blas, mock.patch.object(pipeline, "score_sentences", recording):
                 assert main(["score", "-m", str(bundle), "--batch-size", "2",
@@ -204,7 +203,8 @@ class TestScore:
         assert code == 2
 
     @pytest.mark.parametrize("defect", ["vocab_size", "float_layers", "three_labels",
-                                        "duplicate_token", "invalid_utf8", "truncated"])
+                                        "infinite_epsilon", "duplicate_token", "invalid_utf8",
+                                        "truncated"])
     def test_inconsistent_model_exits_2_at_load(self, tmp_path, monkeypatch, capsys, defect):
         path = tmp_path / "model.hap"
         assert main(["init-random", "--config", "2,2,8,16,64,64", "--output", str(path)]) == 0
@@ -217,6 +217,8 @@ class TestScore:
             tokens = tokens[:-1] + ["\udcff"]
         elif defect == "float_layers":
             config["num_layers"] = 2.0
+        elif defect == "infinite_epsilon":
+            config["layernorm_epsilon"] = float("inf")
         elif defect == "three_labels":
             config["num_labels"] = 3
             tensors["classifier_weight"] = np.zeros((8, 3), np.float32)

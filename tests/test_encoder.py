@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapstack
 from hapstack import encoder
@@ -171,14 +173,31 @@ class TestForwardBatch:
             forward_batch([make_seq([2, 3]), make_seq([2, 5, 3])], w, tiny_config)
 
 
-def scaled_weights(config, seed):
-    """Random weights at 10x the init scale (layernorms left alone): O(1)
-    logits and far-from-uniform attention, so a misplaced row shows."""
+def scaled_weights(config, seed, scale=10.0):
+    """Random weights at ``scale`` times the init scale (layernorms left
+    alone); at 10x, O(1) logits and far-from-uniform attention, so a
+    misplaced row shows."""
     weights = init_random(config, seed)
     for name, tensor in named_tensors(weights, config).items():
         if "_ln_" not in name:
-            tensor *= np.float32(10.0)
+            tensor *= np.float32(scale)
     return weights
+
+
+@st.composite
+def small_models(draw):
+    """A random small config, weights at 1x-10x the init scale, and 1-5
+    unpadded sequences of lengths 1 to ``max_positions``."""
+    heads, head_dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    config = EncoderConfig(num_layers=draw(st.integers(1, 3)), num_heads=heads,
+                           hidden_size=heads * head_dim,
+                           intermediate_size=draw(st.integers(1, 16)), vocab_size=32,
+                           max_positions=draw(st.integers(2, 16)))
+    weights = scaled_weights(config, draw(st.integers(0, 2**16)), draw(st.floats(1.0, 10.0)))
+    lengths = draw(st.lists(st.integers(1, config.max_positions), min_size=1, max_size=5))
+    seqs = [make_seq(draw(st.lists(st.integers(0, 31), min_size=n, max_size=n)))
+            for n in lengths]
+    return config, weights, seqs
 
 
 class TestOracle:
@@ -242,6 +261,21 @@ class TestPackedLogits:
         for seq, row in zip(seqs, logits):
             ref_logits, _, _ = reference_forward(seq.ids, seq.attention_mask, weights, config)
             np.testing.assert_allclose(row, ref_logits, atol=1e-5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_models())
+    def test_rewrites_match_the_oracle_on_random_small_models(self, model):
+        # The scalar oracle makes none of the scoring forward's rewrites:
+        # k_bias left out, each head's query folded into W_k, and the
+        # final context taken as (p·X)·W_v + b_v. Heads, head size,
+        # lengths, batch-mates and weight scale vary together here.
+        config, weights, seqs = model
+        logits = packed_logits(seqs, weights, config)
+        for seq, row in zip(seqs, logits):
+            ref_logits, _, _ = reference_forward(seq.ids, seq.attention_mask, weights, config)
+            np.testing.assert_allclose(row, ref_logits, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(row, forward_batch([seq], weights, config)[0].logits,
+                                       rtol=0, atol=1e-6)
 
     def test_row_equals_batch_of_one_whatever_its_batch_mates(self):
         config = EncoderConfig(num_layers=2, num_heads=4, hidden_size=64,
@@ -528,6 +562,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("num_layers", 2.0), ("hidden_size", "8"), ("num_heads", True),
         ("max_positions", None), ("num_labels", 3), ("layernorm_epsilon", float("nan")),
+        ("layernorm_epsilon", float("inf")), ("layernorm_epsilon", 1e39),
+        ("layernorm_epsilon", 10**39), ("layernorm_epsilon", True),
     ])
     def test_rejected_field_value(self, field, value):
         fields = dict(num_layers=1, num_heads=1, hidden_size=8, intermediate_size=16,

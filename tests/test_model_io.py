@@ -1,6 +1,7 @@
 """Bundle serialization: round-trips, canonical bytes, corruption handling."""
 
 import hashlib
+import json
 import struct
 import tracemalloc
 import warnings
@@ -242,6 +243,21 @@ def test_bad_config_record_rejected_on_load(tmp_path, field, value):
         tensors["classifier_bias"] = np.zeros(value, np.float32)
     write_raw_bundle(path, config_record, tokens, tensors)
     with pytest.raises(BundleError):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("epsilon", ["Infinity", "1e400", "1e39"])
+def test_infinite_epsilon_rejected_on_load(tmp_path, epsilon):
+    # Each is inf once the forward casts it to float32, and every layernorm
+    # would divide by it.
+    path = tmp_path / "model.hap"
+    config = small_config(64)
+    save_bundle(config, init_random(config, 0), build_ascii_vocab(64), path)
+    config_record, tokens, tensors = read_raw_bundle(path)
+    text = json.dumps(config_record, sort_keys=True)
+    assert '"layernorm_epsilon": 1e-12' in text
+    write_raw_bundle(path, text.replace("1e-12", epsilon), tokens, tensors)
+    with pytest.raises(BundleError, match="layernorm_epsilon"):
         load_bundle(path)
 
 

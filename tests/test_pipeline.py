@@ -1,6 +1,7 @@
 """Pipeline tests: splitting, scoring, filtering, corpus runs, benches."""
 
 import contextlib
+import ctypes
 import logging
 import math
 import os
@@ -9,6 +10,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -59,12 +61,12 @@ def forward_rows(measure=len):
 
 @pytest.fixture
 def openblas():
-    """The OpenBLAS (set, get) pair, set to 3 threads for the test, so a
-    run that fails to restore its count leaves a count of 1."""
-    blas = pipeline._openblas_threads()
+    """The OpenBLAS (set, get, park) triple, set to 3 threads for the test,
+    so a run that fails to restore its count leaves a count of 1."""
+    blas = pipeline._openblas()
     if blas is None:
         pytest.skip("no OpenBLAS in this process")
-    set_threads, get_threads = blas
+    set_threads, get_threads, _ = blas
     before = get_threads()
     set_threads(3)
     try:
@@ -347,7 +349,7 @@ class TestRunCorpus:
         pooled, sequential = tmp_path / "pooled.tsv", tmp_path / "sequential.tsv"
         with two_cpus(), mock.patch.object(pipeline, "packed_logits", recording):
             s1 = run_corpus(src, pooled, tiny_model, RunConfig(batch_size=4))
-        with mock.patch.object(pipeline, "_openblas_threads", lambda: None):
+        with mock.patch.object(pipeline, "_openblas", lambda: None):
             with forward_rows() as rows:
                 s2 = run_corpus(src, sequential, tiny_model, RunConfig(batch_size=4))
         assert len(rows) >= 3 and len(threads) == len(rows)
@@ -574,7 +576,7 @@ class TestScoringPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with two_cpus((set_threads, get_threads)):
+            with two_cpus((set_threads, get_threads, None)):
                 runs = [threading.Thread(target=enter_and_leave) for _ in range(8)]
                 for thread in runs:
                     thread.start()
@@ -588,7 +590,7 @@ class TestScoringPool:
 
     def test_single_requests_leave_blas_threading_alone(self, tiny_model, tmp_path):
         set_threads, get_threads = mock.Mock(), mock.Mock(return_value=2)
-        with two_cpus((set_threads, get_threads)):
+        with two_cpus((set_threads, get_threads, None)):
             score_sentences(["one thing.", "two things here."], tiny_model, batch_size=1)
             rescore_beam([Hypothesis("a b.", -1.0), Hypothesis("c d e.", -2.0)], tiny_model,
                          batch_size=1)
@@ -605,7 +607,7 @@ class TestScoringPool:
         restore; the count before the pin is 2."""
         blas = mock.Mock()
         blas.get_threads.return_value = 2
-        return blas, two_cpus((blas.set_threads, blas.get_threads), park=blas.park)
+        return blas, two_cpus((blas.set_threads, blas.get_threads, blas.park))
 
     def test_first_run_in_parks_once_after_pinning(self):
         blas, pooled = self._blas_spies()
@@ -635,7 +637,7 @@ class TestScoringPool:
                              ids=["one CPU", "no OpenBLAS"])
     def test_no_park_on_the_sequential_path(self, cpus, found):
         blas, pooled = self._blas_spies()
-        unfound = mock.patch.object(pipeline, "_openblas_threads", lambda: None)
+        unfound = mock.patch.object(pipeline, "_openblas", lambda: None)
         with (pooled, mock.patch.object(pipeline.os, "sched_getaffinity", lambda pid: cpus),
               contextlib.nullcontext() if found else unfound):
             with pipeline._scoring_pool() as pool:
@@ -643,19 +645,17 @@ class TestScoringPool:
         assert blas.mock_calls == []
 
     def test_pin_without_the_park_symbol(self):
-        blas, pooled = self._blas_spies()
-        with mock.patch.object(pipeline, "_openblas_library", lambda: (object(), "set", "get")):
-            assert pipeline._openblas_park() is None
-        with pooled, mock.patch.object(pipeline, "_openblas_park", lambda: None):
+        blas, _ = self._blas_spies()
+        with two_cpus((blas.set_threads, blas.get_threads, None)):
             with pipeline._scoring_pool() as pool:
                 assert pool is not None
         assert blas.mock_calls == [mock.call.get_threads(), mock.call.set_threads(1),
                                    mock.call.set_threads(2)]
 
     def test_parking_stops_the_spin_of_real_openblas(self, openblas):
-        if pipeline._openblas_park() is None:
+        set_threads, get_threads, park = openblas
+        if park is None:
             pytest.skip("this OpenBLAS exports no blas_thread_shutdown_")
-        set_threads, get_threads = openblas
         set_threads(2)
         a, b = np.random.default_rng(0).standard_normal((2, 256, 256), dtype=np.float32)
         product = a @ b  # a 2-thread GEMM, after which OpenBLAS's worker spins
@@ -666,6 +666,44 @@ class TestScoringPool:
         assert time.process_time() - start < 0.05  # about 0.12 s without the park
         assert get_threads() == 2
         assert np.array_equal(a @ b, product)
+
+
+class TestOpenblasLookup:
+    """``_openblas``'s branches, called through ``__wrapped__`` so that its
+    cache and the real library's thread count are left alone."""
+
+    @staticmethod
+    def _loads(**load):
+        """Patch ``ctypes.CDLL`` with a mock built from ``load``; skipped
+        where no OpenBLAS is mapped, since only a mapped one is loaded."""
+        if pipeline._openblas() is None:
+            pytest.skip("no OpenBLAS in this process")
+        return mock.patch.object(pipeline.ctypes, "CDLL", **load)
+
+    def test_none_off_linux(self):
+        with mock.patch.object(pipeline.sys, "platform", "darwin"):
+            assert pipeline._openblas.__wrapped__() is None
+
+    def test_none_when_the_library_does_not_load(self):
+        with self._loads(side_effect=OSError("cannot load")):
+            assert pipeline._openblas.__wrapped__() is None
+
+    def test_none_without_a_thread_function_pair(self):
+        library = types.SimpleNamespace(openblas_set_num_threads=mock.Mock(),
+                                        blas_thread_shutdown_=mock.Mock())
+        with self._loads(return_value=library):
+            assert pipeline._openblas.__wrapped__() is None
+
+    def test_no_park_without_the_shutdown_symbol(self):
+        library = types.SimpleNamespace(openblas_set_num_threads=mock.Mock(),
+                                        openblas_get_num_threads=mock.Mock())
+        with self._loads(return_value=library):
+            set_threads, get_threads, park = pipeline._openblas.__wrapped__()
+        assert set_threads is library.openblas_set_num_threads
+        assert get_threads is library.openblas_get_num_threads
+        assert park is None
+        assert (set_threads.argtypes, set_threads.restype) == ([ctypes.c_int], None)
+        assert (get_threads.argtypes, get_threads.restype) == ([], ctypes.c_int)
 
 
 _ID = st.text("abc019", min_size=1, max_size=3)
