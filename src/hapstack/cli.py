@@ -54,6 +54,8 @@ def _parse_config_spec(spec: str) -> EncoderConfig:
                            USAGE_ERROR)
     try:
         layers, heads, hidden, inter, vocab, positions = (int(p) for p in parts)
+        if vocab < len(wordpiece.SPECIAL_TOKENS):  # no vocabulary can be that small
+            raise ValueError(f"vocab_size must be >= {len(wordpiece.SPECIAL_TOKENS)}")
         return EncoderConfig(num_layers=layers, num_heads=heads, hidden_size=hidden,
                              intermediate_size=inter, vocab_size=vocab,
                              max_positions=positions)
@@ -255,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="decision records file")
     p.add_argument("--threshold", type=PROBABILITY, default=DEFAULT_HAP_THRESHOLD)
     p.add_argument("--max-flagged-fraction", type=PROBABILITY, default=0.5)
-    p.add_argument("--workers", type=POSITIVE_INT, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("heatmap", help="render attention heatmaps for sentences")
@@ -270,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="beam file: <original_score>\\t<text>[\\t<non_hap>]")
     p.add_argument("--output", help="output file (default stdout)")
-    p.add_argument("--lambda", dest="rescore_lambda", type=_in_range(float, 0.0), default=1.0,
+    p.add_argument("--lambda", dest="rescore_lambda",
+                   type=_in_range(float, 0.0, sys.float_info.max), default=1.0,
                    help="weight on the non-HAP score (default 1.0)")
     p.set_defaults(func=cmd_rescore)
 

@@ -6,15 +6,15 @@ the first position and a linear two-way classification head. The gelu
 is the exact-erf form, with erf computed in this module by a float32
 rational approximation, so the package needs numpy alone.
 
-Two entry points share one block loop (``_blocks``): ``forward_batch``
-runs a padded batch, with pad columns masked out of every attention row,
-and returns every layer's attention probabilities with the logits;
-``packed_logits`` scores unpadded sequences of any lengths with no
-padding and keeps no attention. Only the pooler reads the final block,
-so for both it runs on the classification rows alone, with a context
-that needs no K or V projection (``_cls_attention``). No block adds
-``k_bias``: it shifts all of a query's scores alike, which the softmax
-cancels.
+Both entry points are input checks over one prologue (``_forward``): it
+lays the tokens end to end in order of length, cuts them into runs of
+equal length, masks pad columns only in a run that holds padding, and
+runs one block loop (``_blocks``). ``forward_batch`` explains: it also
+returns every layer's attention. ``packed_logits`` scores unpadded
+sequences and keeps no attention. Only the pooler reads the final block,
+so it runs on the classification rows alone, with a context that needs no
+K or V projection (``_cls_attention``). No block adds ``k_bias``: it
+shifts all of a query's scores alike, which the softmax cancels.
 """
 
 from __future__ import annotations
@@ -286,19 +286,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_ids(ids: np.ndarray, shortest: int, longest: int, config: EncoderConfig) -> None:
-    """Reject what no forward can run: an empty sequence, one longer than
-    ``max_positions`` or an id outside the vocabulary."""
-    if shortest == 0:
-        raise ValueError("cannot run the encoder on an empty sequence")
-    if longest > config.max_positions:
-        raise ValueError(f"sequence length {longest} exceeds max_positions "
-                         f"{config.max_positions}")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError("token id out of range for vocab_size "
-                         f"{config.vocab_size}: [{ids.min()}, {ids.max()}]")
-
-
 def _probabilities(q: np.ndarray, k: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
                    config: EncoderConfig) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield each run's rows and its attention probabilities [b, heads, t, t],
@@ -432,11 +419,43 @@ def _head(x: np.ndarray, weights: ModelWeights) -> np.ndarray:
     return pooled @ weights.classifier_weight + weights.classifier_bias
 
 
-def _embed(ids: np.ndarray, positions: np.ndarray | slice, weights: ModelWeights,
-           config: EncoderConfig) -> np.ndarray:
-    x = weights.token_embedding[ids] + weights.position_embedding[positions]
-    return _layernorm(x.reshape(-1, config.hidden_size), weights.embedding_ln_gamma,
-                      weights.embedding_ln_beta, config.layernorm_epsilon)
+def _forward(seqs: list[TokenizedSequence], weights: ModelWeights, config: EncoderConfig,
+             attentions: list[np.ndarray] | None = None) -> np.ndarray:
+    """Classifier logits [B, 2] of ``seqs`` in input order, the prologue of
+    both entries: tokens laid end to end in order of length (stable), cut
+    into runs of equal length for ``_blocks`` (which takes ``attentions``),
+    with a pad-column mask bias only on a run that holds padding."""
+    if not seqs:
+        return np.empty((0, config.num_labels), dtype=np.float32)
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
+    lengths = [len(seqs[i].ids) for i in order]
+    ids = np.fromiter(chain.from_iterable(seqs[i].ids for i in order), dtype=np.int64,
+                      count=sum(lengths))
+    if lengths[0] == 0:
+        raise ValueError("cannot run the encoder on an empty sequence")
+    if lengths[-1] > config.max_positions:
+        raise ValueError(f"sequence length {lengths[-1]} exceeds max_positions "
+                         f"{config.max_positions}")
+    if ids.min() < 0 or ids.max() >= config.vocab_size:
+        raise ValueError("token id out of range for vocab_size "
+                         f"{config.vocab_size}: [{ids.min()}, {ids.max()}]")
+    runs = []
+    for t, group in groupby(order, key=lambda i: len(seqs[i].ids)):
+        run = [seqs[i] for i in group]
+        bias = None
+        if any(0 in seq.attention_mask for seq in run):
+            mask = np.asarray([seq.attention_mask for seq in run], dtype=np.float32)
+            bias = (np.float32(1.0) - mask)[:, None, None, :] * np.float32(ATTENTION_MASK_BIAS)
+        runs.append((len(run), t, bias))
+    positions = np.concatenate([np.tile(np.arange(t), b) for b, t, _ in runs])
+    logits = np.empty((len(seqs), config.num_labels), dtype=np.float32)
+    # The embedded rows go to _blocks unnamed, so they are freed after its
+    # first block: the forward's speed depends on its allocation order.
+    logits[order] = _head(_blocks(_layernorm(
+        weights.token_embedding[ids] + weights.position_embedding[positions],
+        weights.embedding_ln_gamma, weights.embedding_ln_beta, config.layernorm_epsilon),
+        runs, weights, config, attentions), weights)
+    return logits
 
 
 def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
@@ -450,54 +469,27 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
     Each output's arrays are views into the shared batch arrays. To score
     without attention, use ``packed_logits``.
     """
-    if not seqs:
-        return []
-    t = len(seqs[0].ids)
-    for seq in seqs:
-        if len(seq.ids) != t or len(seq.attention_mask) != t:
-            raise ValueError("all sequences in a batch must share one padded length")
-    ids = np.asarray([seq.ids for seq in seqs], dtype=np.int64)
-    _check_ids(ids, t, t, config)
-    mask = np.asarray([seq.attention_mask for seq in seqs], dtype=np.float32)
-    # [B, 1, 1, T] additive bias hiding pad columns from every query row.
-    attn_bias = (np.float32(1.0) - mask)[:, None, None, :] * np.float32(ATTENTION_MASK_BIAS)
-
+    if any(len(seq.ids) != len(seqs[0].ids) or len(seq.attention_mask) != len(seq.ids)
+           for seq in seqs):
+        raise ValueError("all sequences in a batch must share one padded length")
     attentions: list[np.ndarray] = []
-    x = _blocks(_embed(ids, slice(0, t), weights, config), [(len(seqs), t, attn_bias)],
-                weights, config, attentions)
-    logits = _head(x, weights)
-    return [ForwardOutput(logits=logits[b],
-                          attentions=[layer_probs[b] for layer_probs in attentions])
-            for b in range(len(seqs))]
+    logits = _forward(seqs, weights, config, attentions)
+    return [ForwardOutput(row, [layer_probs[b] for layer_probs in attentions])
+            for b, row in enumerate(logits)]
 
 
 def packed_logits(seqs: list[TokenizedSequence], weights: ModelWeights,
                   config: EncoderConfig) -> np.ndarray:
     """Classifier logits [B, 2] of unpadded sequences of any lengths, in
-    input order, with no attention kept.
-
-    The sequences' tokens are laid end to end in order of length, with no
-    padding, so each block's projections and FFN run as one GEMM over every
-    real token, and attention runs per run of equal-length sequences with
-    no mask (see ``_blocks``). A row agrees with ``forward_batch([seq])``
-    within float32 matmul noise whatever its batch-mates, and equals it alone.
-    """
-    if not seqs:
-        return np.empty((0, config.num_labels), dtype=np.float32)
+    input order, with no attention kept: each block's projections and FFN
+    run as one GEMM over every real token, attention per run of
+    equal-length sequences with no mask (``_forward``). A row agrees with
+    ``forward_batch([seq])`` within float32 matmul noise whatever its
+    batch-mates, and equals it alone."""
     for seq in seqs:
         if len(seq.attention_mask) != len(seq.ids) or 0 in seq.attention_mask:
             raise ValueError("packed_logits takes unpadded sequences")
-    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
-    lengths = [len(seqs[i].ids) for i in order]
-    ids = np.fromiter(chain.from_iterable(seqs[i].ids for i in order), dtype=np.int64,
-                      count=sum(lengths))
-    _check_ids(ids, lengths[0], lengths[-1], config)
-    runs = [(len(list(group)), t, None) for t, group in groupby(lengths)]
-    positions = np.concatenate([np.tile(np.arange(t), b) for b, t, _ in runs])
-    logits = np.empty((len(seqs), config.num_labels), dtype=np.float32)
-    logits[order] = _head(_blocks(_embed(ids, positions, weights, config), runs,
-                                  weights, config), weights)
-    return logits
+    return _forward(seqs, weights, config)
 
 
 def count_parameters(config: EncoderConfig) -> int:

@@ -32,10 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_MAX_LENGTH, RunConfig
-from .encoder import EncoderConfig, count_parameters, forward_batch, init_random, packed_logits
+from .encoder import EncoderConfig, count_parameters, init_random, packed_logits
 from .model_io import LoadedModel
-# pad_sequence is not called here; it stays importable from this module
-# because perfbench/tracing.py wraps it by this name.
+# forward_batch and pad_sequence are not called here; they stay importable
+# from this module because perfbench/tracing.py wraps them by these names.
+from .encoder import forward_batch  # noqa: F401
 from .wordpiece import TokenizedSequence, build_ascii_vocab, encode, pad_sequence  # noqa: F401
 from .wordpiece import iter_lines
 
@@ -459,7 +460,8 @@ def _compare(configs: tuple[EncoderConfig, EncoderConfig], centres_ms: list[floa
 def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
                   n_runs: int = 100, n_seeds: int = 5,
                   seq_len: int = 32) -> tuple[BenchReport, BenchReport, float]:
-    """Single-sequence latency comparison on a monotonic clock.
+    """Single-sentence latency comparison of ``packed_logits``, the scoring
+    forward, on a monotonic clock.
 
     Per seed: fresh random weights and a random unpadded sequence for each
     side, 3 untimed warm-up runs each, then ``n_runs`` timed forwards per
@@ -482,7 +484,7 @@ def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
 
         def run() -> float:
             t0 = time.perf_counter()
-            forward_batch([seq], weights, config)
+            packed_logits([seq], weights, config)
             return (time.perf_counter() - t0) * 1000.0
         return run
 

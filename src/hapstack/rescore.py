@@ -27,9 +27,10 @@ class Hypothesis:
 
 
 def combine_scores(hypothesis: Hypothesis, weight: float = 1.0) -> Hypothesis:
-    """Fill ``new_score = original_score + weight * non_hap``."""
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
+    """Fill ``new_score = original_score + weight * non_hap``. The weight
+    must be finite and >= 0, so a non_hap in [0, 1] never makes it NaN."""
+    if not 0 <= weight < math.inf:
+        raise ValueError(f"weight must be finite and >= 0, got {weight}")
     if hypothesis.non_hap is None:
         raise ValueError(f"hypothesis {hypothesis.text!r} has no non_hap score")
     return replace(hypothesis,

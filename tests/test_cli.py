@@ -343,19 +343,8 @@ class TestFilter:
         assert [line.split("\t")[0] for line in dst.read_text(encoding="utf-8").splitlines()] \
             == ["d1"]
 
-    def test_workers_flag_has_no_effect(self, bundle, tmp_path, capsys):
-        src = tmp_path / "in.tsv"
-        src.write_text("d1\tOne fine day. Another one!\nd2\tShort.\n", encoding="utf-8")
-        outputs = []
-        for extra in ([], ["--workers", "3"]):
-            dst = tmp_path / f"out{len(outputs)}.tsv"
-            assert main(["filter", "--model", str(bundle), "--input", str(src),
-                         "--output", str(dst), *extra]) == 0
-            outputs.append(dst.read_bytes())
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("flag", [["--token-budget", "512"], ["--dynamic-batching"]],
-                             ids=lambda flag: flag[0])
+    @pytest.mark.parametrize("flag", [["--token-budget", "512"], ["--dynamic-batching"],
+                                      ["--workers", "3"]], ids=lambda flag: flag[0])
     def test_removed_flags_are_usage_errors(self, flag, bundle, monkeypatch, capsys):
         loads = []
         monkeypatch.setattr(model_io, "load_bundle", loads.append)
@@ -502,10 +491,10 @@ class TestOutOfRangeFlags:
         (["score"], "--batch-size", "0"),
         (["filter", *FILTER_FILES], "--threshold", "2"),
         (["filter", *FILTER_FILES], "--max-flagged-fraction", "-0.5"),
-        (["filter", *FILTER_FILES], "--workers", "0"),
         (["sample", "--mine"], "--min-hap", "2"),
         (["sample", "--mine"], "--limit", "-1"),
         (["rescore", "--input", "beam.tsv"], "--lambda", "-1"),
+        (["rescore", "--input", "beam.tsv"], "--lambda", "inf"),
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--seeds", "0"),
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--seq-len", "0"),
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--batch-size", "0"),
@@ -528,6 +517,25 @@ class TestOutOfRangeFlags:
         assert loads == []
         assert captured.out == ""
         assert f"argument {flag}: {value} is not in [" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["init-random", "--output", "x.hap", "--config"],
+        ["bench", "--config-b", TINY_SPEC, "--config"],
+        ["bench", "--mode", "throughput", "--corpus", "in.tsv", "--config-b", TINY_SPEC,
+         "--config"],
+    ], ids=["init-random", "latency", "throughput"])
+    def test_config_vocab_below_the_special_tokens(self, command, tmp_path, monkeypatch,
+                                                   capsys):
+        # No vocabulary holds fewer than [PAD], [UNK], [CLS] and [SEP], so
+        # such a --config is a usage error before anything runs or is written.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(pipeline, "bench_latency", None)
+        monkeypatch.setattr(pipeline, "bench_throughput", None)
+        code, captured = run_cli([*command, "1,1,4,4,3,2"], capsys=capsys)
+        assert code == 2
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert "vocab_size must be >= 4" in captured.err
         assert "Traceback" not in captured.err
 
     def test_bounds_are_inclusive(self, bundle, monkeypatch, capsys):

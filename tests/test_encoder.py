@@ -376,7 +376,9 @@ class TestPackedLogits:
         bias = (np.float32(1.0) - mask)[:, None, None, :] * np.float32(ATTENTION_MASK_BIAS)
 
         def logits(run_bias):
-            x = encoder._embed(ids, slice(0, t), weights, config)
+            x = weights.token_embedding[ids] + weights.position_embedding[:t]
+            x = encoder._layernorm(x.reshape(-1, config.hidden_size), weights.embedding_ln_gamma,
+                                   weights.embedding_ln_beta, config.layernorm_epsilon)
             return encoder._head(encoder._blocks(x, [(len(seqs), t, run_bias)], weights,
                                                  config), weights)
 

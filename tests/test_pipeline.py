@@ -772,13 +772,13 @@ class TestBenchLatency:
         larger = EncoderConfig(num_layers=2, num_heads=2, hidden_size=16,
                                intermediate_size=32, vocab_size=64, max_positions=32)
         configs = []
-        forward_batch = pipeline.forward_batch
+        packed_logits = pipeline.packed_logits
 
         def counting(seqs, weights, config):
             configs.append(config)
-            return forward_batch(seqs, weights, config)
+            return packed_logits(seqs, weights, config)
 
-        with mock.patch.object(pipeline, "forward_batch", counting):
+        with mock.patch.object(pipeline, "packed_logits", counting):
             bench_latency(tiny_config, larger, n_runs=11, n_seeds=1, seq_len=8)
         assert configs.count(tiny_config) == configs.count(larger) == 3 + 12
 

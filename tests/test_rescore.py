@@ -26,6 +26,12 @@ class TestCombineScores:
         h = combine_scores(Hypothesis(text="x", original_score=-1.0, non_hap=0.5), 2.0)
         assert h.new_score == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("weight", [-1.0, float("inf"), float("nan")])
+    def test_weight_must_be_finite_and_non_negative(self, weight):
+        # An infinite weight times a non_hap of 0 is NaN, which sorted first.
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            combine_scores(Hypothesis(text="x", original_score=-1.0, non_hap=0.0), weight)
+
     def test_missing_non_hap(self):
         with pytest.raises(ValueError):
             combine_scores(Hypothesis(text="x", original_score=-1.0), 1.0)
