@@ -234,24 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("score", help="score sentences from stdin or --input",
-                       description="Score one sentence per line, streaming: windows of "
-                       f"{pipeline.WINDOW_SENTENCES} lines are scored as in filter and written "
-                       "in input order, a line repeated within a window is scored once, and "
-                       "an invalid UTF-8 line exits 1 after the lines before it are written.")
+                       description="Score one sentence per line, streaming, in input order. "
+                       "An invalid UTF-8 line exits 1 after the lines before it are written.")
     _add_model_flags(p)
     p.add_argument("--input", help="sentence-per-line input file (default stdin)")
     p.add_argument("--output", help="output file (default stdout)")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("filter", help="filter a document corpus",
-                       description="Filter a document corpus. Documents are read into "
-                       f"a window of {pipeline.WINDOW_SENTENCES} sentences, scored together "
-                       "in length-sorted, padding-free tasks of at most --batch-size rows and "
-                       f"{pipeline.TOKEN_BUDGET} real tokens (a longer sentence runs alone), "
-                       "and their decisions written "
-                       "in input order. A window's tasks run largest first, on one thread per "
-                       "usable CPU, with OpenBLAS pinned to one thread for the run; any "
-                       "other BLAS or platform runs them in sequence.")
+                       description="Filter a corpus of one document per line, streaming: "
+                       "decision records go to --output in input order, the run summary to "
+                       "stdout. An invalid UTF-8 line exits 1 after the earlier records.")
     _add_model_flags(p)
     p.add_argument("--input", required=True, help="corpus file: <id>\\t<text>")
     p.add_argument("--output", required=True, help="decision records file")

@@ -11,11 +11,9 @@ DEFAULT_HAP_THRESHOLD = 0.5
 @dataclass(frozen=True)
 class RunConfig:
     """Settings of one corpus run, checked once, here (frozen, so they stay
-    checked). ``batch_size`` is the ceiling on a scoring task's rows; its
-    real tokens are capped by ``pipeline.TOKEN_BUDGET``. Nothing reads
-    ``workers`` or ``dynamic_batching``: a corpus run sizes its scoring
-    pool from the usable CPUs. They stay because ``perfbench/workloads.py``
-    sets them in ``RUN_CONFIGS``."""
+    checked). ``batch_size`` is the ceiling on a scoring task's rows.
+    Nothing reads ``workers`` or ``dynamic_batching``; they stay because
+    ``perfbench/workloads.py`` sets them in ``RUN_CONFIGS``."""
 
     batch_size: int = 32
     max_length: int = DEFAULT_MAX_LENGTH

@@ -5,16 +5,6 @@ feed-forward), learned absolute position embeddings, a tanh pooler over
 the first position and a linear two-way classification head. The gelu
 is the exact-erf form, with erf computed in this module by a float32
 rational approximation, so the package needs numpy alone.
-
-Both entry points are input checks over one prologue (``_forward``): it
-lays the tokens end to end in order of length, cuts them into runs of
-equal length, masks pad columns only in a run that holds padding, and
-runs one block loop (``_blocks``). ``forward_batch`` explains: it also
-returns every layer's attention. ``packed_logits`` scores unpadded
-sequences and keeps no attention. Only the pooler reads the final block,
-so it runs on the classification rows alone, with a context that needs no
-K or V projection (``_cls_attention``). No block adds ``k_bias``: it
-shifts all of a query's scores alike, which the softmax cancels.
 """
 
 from __future__ import annotations
@@ -427,6 +417,8 @@ def _forward(seqs: list[TokenizedSequence], weights: ModelWeights, config: Encod
     with a pad-column mask bias only on a run that holds padding."""
     if not seqs:
         return np.empty((0, config.num_labels), dtype=np.float32)
+    if any(len(seq.attention_mask) != len(seq.ids) for seq in seqs):
+        raise ValueError("every attention_mask must match its ids in length")
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
     lengths = [len(seqs[i].ids) for i in order]
     ids = np.fromiter(chain.from_iterable(seqs[i].ids for i in order), dtype=np.int64,
@@ -469,8 +461,7 @@ def forward_batch(seqs: list[TokenizedSequence], weights: ModelWeights,
     Each output's arrays are views into the shared batch arrays. To score
     without attention, use ``packed_logits``.
     """
-    if any(len(seq.ids) != len(seqs[0].ids) or len(seq.attention_mask) != len(seq.ids)
-           for seq in seqs):
+    if any(len(seq.ids) != len(seqs[0].ids) for seq in seqs):
         raise ValueError("all sequences in a batch must share one padded length")
     attentions: list[np.ndarray] = []
     logits = _forward(seqs, weights, config, attentions)
@@ -486,9 +477,8 @@ def packed_logits(seqs: list[TokenizedSequence], weights: ModelWeights,
     equal-length sequences with no mask (``_forward``). A row agrees with
     ``forward_batch([seq])`` within float32 matmul noise whatever its
     batch-mates, and equals it alone."""
-    for seq in seqs:
-        if len(seq.attention_mask) != len(seq.ids) or 0 in seq.attention_mask:
-            raise ValueError("packed_logits takes unpadded sequences")
+    if any(0 in seq.attention_mask for seq in seqs):
+        raise ValueError("packed_logits takes unpadded sequences")
     return _forward(seqs, weights, config)
 
 

@@ -32,6 +32,11 @@ from .encoder import (EncoderConfig, ModelWeights, named_tensors, tensor_shapes,
 from .wordpiece import Vocabulary, VocabularyError
 
 MAGIC = b"HAP1"
+# Largest weight magnitude a bundle may hold. init_random draws stay below
+# 0.2, and a flip of a float32's top exponent bit multiplies a weight below
+# 2 in magnitude by 2**128, so a bit-flipped weight fails to load instead of
+# running as a different model or scoring NaN.
+MAX_MAGNITUDE = 1e4
 
 
 class BundleError(Exception):
@@ -52,6 +57,15 @@ class ShapeMismatchError(BundleError):
 
 class NonFiniteTensorError(BundleError):
     """Payload contains NaN or infinite values."""
+
+
+def _check_values(name: str, arr: np.ndarray) -> None:
+    """Raise ``BundleError`` naming tensor ``name`` when ``arr`` holds a
+    non-finite value or one beyond ``MAX_MAGNITUDE``."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteTensorError(f"tensor {name} contains non-finite values")
+    if max(-arr.min(), arr.max()) > MAX_MAGNITUDE:
+        raise BundleError(f"tensor {name} holds a value beyond {MAX_MAGNITUDE:g} in magnitude")
 
 
 class LoadedModel(NamedTuple):
@@ -97,8 +111,7 @@ def save_bundle(config: EncoderConfig, weights: ModelWeights, vocab: Vocabulary,
         # Checked as stored: a finite value beyond float32's range casts to inf.
         with np.errstate(over="ignore"):
             tensors[name] = np.ascontiguousarray(arr, dtype="<f4")
-        if not np.isfinite(tensors[name]).all():
-            raise NonFiniteTensorError(f"tensor {name} contains non-finite values")
+        _check_values(name, tensors[name])
 
     sections = [text.encode("utf-8") for text in (  # encoding may fail, so before open
         json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":")),
@@ -163,8 +176,7 @@ def load_bundle(path: str | Path) -> LoadedModel:
             arr = np.empty(dims, dtype="<f4")
             if src.readinto(arr) != arr.nbytes:
                 raise TruncatedBundleError(f"bundle truncated while reading tensor {name}")
-            if not np.isfinite(arr).all():
-                raise NonFiniteTensorError(f"tensor {name} contains non-finite values")
+            _check_values(name, arr)
             tensors[name] = arr
 
     return LoadedModel(config=config, weights=weights_from_tensors(tensors, config),

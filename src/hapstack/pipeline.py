@@ -3,10 +3,7 @@
 Documents are split into sentences, each sentence scored with a softmax
 over the classifier's two logits (index 1 = HAP), and a document is
 discarded when too large a fraction of its sentences score at or above
-the threshold. Corpus runs and ``hapstack score`` stream their input
-through one window loop, ``score_windows``, which scores each window's
-tasks on the run's scoring pool (``_scoring_pool``). Single requests run
-in sequence and leave BLAS threading alone.
+the threshold.
 """
 
 from __future__ import annotations
@@ -244,12 +241,9 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
     sentence is held until the call returns; ``score_windows`` streams.
 
     Each distinct token-id sequence is run through the encoder once and
-    its score shared by every sentence that encodes to it. The distinct
-    sequences are cut, in order of length, into tasks of at most
-    ``batch_size`` rows and ``TOKEN_BUDGET`` real tokens (see
-    ``_batch_indices``); each task is one ``packed_logits`` call, with no
-    padding. Tasks run largest first (by tokens), on ``pool`` when one is
-    given, so a long task does not run last and alone.
+    its score shared by every sentence that encodes to it. Its tasks
+    (``_batch_indices``) run largest first (by tokens), on ``pool`` when
+    one is given, so a long task does not run last and alone.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

@@ -198,10 +198,9 @@ def encode(text: str, vocab: Vocabulary, max_length: int,
             break
         piece_ids = tokenize_word(word, vocab)
         take = min(len(piece_ids), budget - used)
-        if take > 0:
-            spans.append((word_index, 1 + used, take))
-            ids.extend(piece_ids[:take])
-            used += take
+        spans.append((word_index, 1 + used, take))
+        ids.extend(piece_ids[:take])
+        used += take
     ids.append(vocab.sep_id)
     seq = TokenizedSequence(
         ids=ids,

@@ -7,11 +7,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hapstack import pipeline
 from hapstack.encoder import EncoderConfig, init_random
 from hapstack.model_io import LoadedModel
 from hapstack.wordpiece import Vocabulary, build_ascii_vocab
+
+# Every property draws the same examples on every run, and no example
+# database carries a failure from one run into the next.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 TINY_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "shame", "##less", "##ly", "bad")
 

@@ -204,7 +204,7 @@ class TestScore:
 
     @pytest.mark.parametrize("defect", ["vocab_size", "float_layers", "three_labels",
                                         "infinite_epsilon", "duplicate_token", "invalid_utf8",
-                                        "truncated"])
+                                        "truncated", "flipped_weight"])
     def test_inconsistent_model_exits_2_at_load(self, tmp_path, monkeypatch, capsys, defect):
         path = tmp_path / "model.hap"
         assert main(["init-random", "--config", "2,2,8,16,64,64", "--output", str(path)]) == 0
@@ -223,6 +223,9 @@ class TestScore:
             config["num_labels"] = 3
             tensors["classifier_weight"] = np.zeros((8, 3), np.float32)
             tensors["classifier_bias"] = np.zeros(3, np.float32)
+        elif defect == "flipped_weight":  # finite, but 2**128 times the weight
+            tensors["layer.0.q_weight"] = tensors["layer.0.q_weight"].copy()
+            tensors["layer.0.q_weight"].view(np.uint32)[2, 5] ^= 1 << 30
         write_raw_bundle(path, config, tokens, tensors)
         if defect == "truncated":
             path.write_bytes(path.read_bytes()[:-1])

@@ -1,7 +1,8 @@
 """Hypothesis properties of the CLI, driven in process on a tiny bundle.
 
 Each property's docstring names the defect it pins. Examples are
-derandomized and bounded, so the module runs the same way every time.
+bounded, and the suite's Hypothesis profile derandomizes them, so the
+module runs the same way every time.
 """
 
 import io
@@ -13,7 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hapstack import model_io, pipeline
 from hapstack.cli import main
+from hapstack.encoder import named_tensors, weights_from_tensors
+
+from conftest import two_cpus
 
 TINY_SPEC = "2,2,8,16,256,64"
 # About 600 pieces under the ASCII vocabulary, over any --max-length.
@@ -28,6 +33,12 @@ line_bytes = st.lists(st.one_of(
     st.text(max_size=6).map(str.encode),
 ), max_size=6).map(b"".join)
 lines = st.lists(st.one_of(line_bytes, st.just(LONG_LINE)), max_size=4)
+# Few letters, so sentences repeat within and across documents.
+sentences = st.lists(st.text("abz", min_size=1, max_size=4), min_size=1, max_size=5).map(
+    lambda words: " ".join(words) + ".")
+documents = st.lists(st.lists(sentences, max_size=4).map(" ".join), min_size=1, max_size=8)
+# Printed scores are rounded to 6 places: 1e-6 of noise plus 5e-7 of rounding.
+NEAR_THRESHOLD_MICROS = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +48,19 @@ def files(tmp_path_factory):
     code, _, _ = run(["init-random", "--config", TINY_SPEC, "--output", str(root / "model.hap")])
     assert code == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def spread_bundle(files):
+    """``model.hap`` with every weight but the layernorms' 30 times larger,
+    so its scores spread over about [0.1, 0.5]; the unscaled model scores
+    every sentence within 1e-5 of 0.502, which would hide a misplaced row."""
+    config, weights, vocab = model_io.load_bundle(files / "model.hap")
+    tensors = {name: arr if "_ln_" in name else arr * 30
+               for name, arr in named_tensors(weights, config).items()}
+    path = files / "spread.hap"
+    model_io.save_bundle(config, weights_from_tensors(tensors, config), vocab, path)
+    return path
 
 
 def run(argv, stdin=b""):
@@ -53,7 +77,7 @@ def run(argv, stdin=b""):
     return code, out.buffer.getvalue(), err.getvalue()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None)
 @given(chosen=lines, final_lf=st.booleans())
 def test_any_input_bytes_exit_0_or_1_without_a_traceback(files, chosen, final_lf):
     """Pins: a CR, TAB, NUL, invalid UTF-8 byte, empty input or an
@@ -86,14 +110,14 @@ def test_any_input_bytes_exit_0_or_1_without_a_traceback(files, chosen, final_lf
         assert "Traceback" not in err
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_a_damaged_bundle_fails_at_load_with_exit_2(files, data):
     """Pins: a truncated or byte-flipped bundle that escapes the load
     checks and fails later, at the first score, with a traceback or exit
     code 1. A flip in the magic, a section length or the tensor table
     always fails to load; a flip in the config, the vocab or the tensor
-    data may leave a valid model, which then runs."""
+    data may leave a valid model, which then runs, but never scores NaN."""
     raw = (files / "model.hap").read_bytes()
     config_len = int.from_bytes(raw[4:8], "little")
     vocab_at = 8 + config_len
@@ -120,9 +144,11 @@ def test_a_damaged_bundle_fails_at_load_with_exit_2(files, data):
             assert out == b"" and "cannot load model" in err, (argv, err)
         else:
             assert not must_fail and code == 0, (argv, code, err)
+            written = (files / "out.tsv").read_bytes() if argv[0] == "filter" else out
+            assert b"nan" not in written, argv
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(text=st.one_of(
     st.floats().map(repr),
     st.sampled_from(["inf", "-inf", "+inf", "nan", "-nan", "Infinity", "1e309", "-0.0",
@@ -141,3 +167,38 @@ def test_any_lambda_text_is_a_usage_error_or_ranks_without_nan(files, text):
         assert out.count(b"\n") == 3 and b"nan" not in out.lower()
     else:
         assert out == b"" and "argument --lambda" in err
+
+
+@settings(max_examples=50, deadline=None)
+@given(texts=documents, threshold=st.floats(0.0, 0.6), max_fraction=st.floats(0.0, 1.0))
+def test_filter_decisions_do_not_depend_on_windows_or_the_pool(files, spread_bundle, texts,
+                                                               threshold, max_fraction):
+    """Pins: a ``filter`` decision that depends on how documents fall into
+    windows (``WINDOW_SENTENCES`` 1 or its default) or on whether a window's
+    tasks run on the pool or in sequence: the records must keep their ids
+    and order, every printed score must agree within 1e-6, and ``kept``
+    and the flagged fraction must agree unless a score lies at the
+    threshold."""
+    src, out = files / "corpus.tsv", files / "decisions.tsv"
+    src.write_text("".join(f"d{i}\t{text}\n" for i, text in enumerate(texts)))
+    runs = []
+    for window in (1, pipeline.WINDOW_SENTENCES):
+        for pool in (two_cpus(), mock.patch.object(pipeline, "_openblas", lambda: None)):
+            with mock.patch.object(pipeline, "WINDOW_SENTENCES", window), pool:
+                code, _, err = run(["filter", "--model", str(spread_bundle),
+                                    "--input", str(src), "--output", str(out),
+                                    "--threshold", repr(threshold),
+                                    "--max-flagged-fraction", repr(max_fraction)])
+            assert code == 0, err
+            runs.append([line.split("\t") for line in out.read_text().splitlines()])
+    first, *others = runs
+    for other in others:
+        assert [record[0] for record in other] == [record[0] for record in first]
+        for a, b in zip(first, other):
+            # Each printed score in millionths, so 1e-6 is a difference of 1.
+            micros_a, micros_b = ([round(float(s) * 1e6) for s in r[3].split(",") if s]
+                                  for r in (a, b))
+            assert len(micros_a) == len(micros_b)
+            assert all(abs(x - y) <= 1 for x, y in zip(micros_a, micros_b)), (a, b)
+            if all(abs(x - threshold * 1e6) > NEAR_THRESHOLD_MICROS for x in micros_a + micros_b):
+                assert a[1:3] == b[1:3], (a, b)

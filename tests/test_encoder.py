@@ -262,7 +262,7 @@ class TestPackedLogits:
             ref_logits, _, _ = reference_forward(seq.ids, seq.attention_mask, weights, config)
             np.testing.assert_allclose(row, ref_logits, atol=1e-5)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(small_models())
     def test_rewrites_match_the_oracle_on_random_small_models(self, model):
         # The scalar oracle makes none of the scoring forward's rewrites:
@@ -385,16 +385,17 @@ class TestPackedLogits:
         np.testing.assert_array_equal(logits(bias), batched)
         assert not np.allclose(logits(None)[1:], expected[1:], atol=1e-3)
 
-    @pytest.mark.parametrize("ids", [[2, 256, 3], [2] * 65], ids=["id", "length"])
-    def test_rejects_what_forward_batch_rejects(self, tiny_config, ids):
+    @pytest.mark.parametrize("ids, mask", [([2, 256, 3], None), ([2] * 65, None),
+                                           ([2, 5, 3], [1, 1])], ids=["id", "length", "mask"])
+    def test_rejects_what_forward_batch_rejects(self, tiny_config, ids, mask):
         w = init_random(tiny_config, 0)
         with pytest.raises(ValueError) as batched:
-            forward_batch([make_seq(ids)], w, tiny_config)
+            forward_batch([make_seq(ids, mask)], w, tiny_config)
         with pytest.raises(ValueError) as packed:
-            packed_logits([make_seq(ids)], w, tiny_config)
+            packed_logits([make_seq(ids, mask)], w, tiny_config)
         assert str(packed.value) == str(batched.value)
-        with pytest.raises(ValueError, match="out of range|exceeds max_positions"):
-            packed_logits([make_seq([2, 3]), make_seq(ids)], w, tiny_config)
+        with pytest.raises(ValueError, match="out of range|exceeds max_positions|in length"):
+            packed_logits([make_seq([2, 3]), make_seq(ids, mask)], w, tiny_config)
 
     def test_rejects_empty_and_padded_sequences(self, tiny_config):
         w = init_random(tiny_config, 0)

@@ -166,6 +166,26 @@ def test_nan_payload_rejected_on_load(tmp_path):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("damage", ["top exponent bit flipped", "3e38"])
+def test_out_of_range_weight_rejected_on_load(tmp_path, damage):
+    # Pins: a loader that checks finiteness alone accepts both, and then the
+    # flip (the weight times 2**128) scores every sentence alike and 3e38
+    # scores every sentence NaN, so a filter keeps every document.
+    vocab = build_ascii_vocab(64)
+    config = small_config(len(vocab))
+    path = tmp_path / "model.hap"
+    save_bundle(config, init_random(config, 0), vocab, path)
+    config_record, tokens, tensors = read_raw_bundle(path)
+    q = tensors["layer.0.q_weight"].copy()
+    if damage == "3e38":
+        q[2, 5] = 3e38
+    else:
+        q.view(np.uint32)[2, 5] ^= 1 << 30
+    write_raw_bundle(path, config_record, tokens, {**tensors, "layer.0.q_weight": q})
+    with pytest.raises(BundleError, match=r"layer\.0\.q_weight"):
+        load_bundle(path)
+
+
 def test_config_survives_field_for_field(tmp_path):
     vocab = build_ascii_vocab(64)
     config = EncoderConfig(num_layers=3, num_heads=4, hidden_size=16,
@@ -401,7 +421,7 @@ def test_huge_section_length_allocates_nothing(tmp_path):
 
 
 FAILED_SAVE_TENSOR = {"nan": "ffn_up_weight", "shape": "token_embedding",
-                      "float32 overflow": "classifier_bias"}
+                      "float32 overflow": "classifier_bias", "magnitude": "q_weight"}
 
 
 @pytest.mark.parametrize("defect", FAILED_SAVE_TENSOR)
@@ -416,6 +436,8 @@ def test_failed_save_leaves_existing_file(tmp_path, defect):
         weights.layers[0].ffn_up_weight[0, 0] = np.nan
     elif defect == "shape":
         weights.token_embedding = weights.token_embedding[:-1]
+    elif defect == "magnitude":
+        weights.layers[0].q_weight[2, 5] = 3e38
     else:
         weights.classifier_bias = np.array([0.0, 1e39])  # finite until stored as float32
     with warnings.catch_warnings():
