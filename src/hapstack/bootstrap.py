@@ -156,14 +156,10 @@ def mine_high_confidence(sentences: Iterable[str], model: LoadedModel, min_hap: 
         raise ValueError("min_hap must lie in [0, 1]")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    pool: list[tuple[str, HapScore]] = []
-
-    def keep(window: list[tuple[str, list[str]]], scores: list[HapScore]) -> None:
-        pool.extend((sentence, score) for (sentence, _), score in zip(window, scores)
-                    if score.hap >= min_hap)
-
-    score_windows(((sentence, [sentence]) for sentence in sentences), model,
-                  RunConfig(batch_size=batch_size, max_length=max_length), keep)
+    pool = [(sentence, score) for sentence, _, (score,) in score_windows(
+                ((sentence, [sentence]) for sentence in sentences), model,
+                RunConfig(batch_size=batch_size, max_length=max_length))
+            if score.hap >= min_hap]
     if len(pool) <= limit:
         return pool
     return random.Random(seed).sample(pool, limit)

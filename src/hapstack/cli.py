@@ -96,13 +96,11 @@ def _write_lines(lines: list[str], path: str | None = None) -> None:
 def cmd_score(args: argparse.Namespace) -> int:
     model = _load_model(args)
     pipeline.refuse_overwrite(args.input, args.output)
+    run_config = RunConfig(batch_size=args.batch_size, max_length=args.max_length)
     with _output(args.output) as out:
-        def write(window: list[tuple[str, list[str]]], scores: list[pipeline.HapScore]) -> None:
-            out.write("".join(f"{s.hap:.6f}\t{s.non_hap:.6f}\t{line}\n"
-                              for (line, _), s in zip(window, scores)).encode("utf-8"))
-        pipeline.score_windows(((line, [line]) for _, line in iter_lines(args.input)), model,
-                               RunConfig(batch_size=args.batch_size, max_length=args.max_length),
-                               write)
+        for line, _, (score,) in pipeline.score_windows(
+                ((line, [line]) for _, line in iter_lines(args.input)), model, run_config):
+            out.write(f"{score.hap:.6f}\t{score.non_hap:.6f}\t{line}\n".encode("utf-8"))
     return 0
 
 

@@ -9,6 +9,7 @@ the threshold.
 from __future__ import annotations
 
 import ctypes
+import errno
 import logging
 import math
 import os
@@ -282,20 +283,13 @@ def decide_from_scores(hap_scores: list[float], hap_threshold: float,
     return fraction, fraction <= max_flagged_fraction
 
 
-def _decide_window(window: list[tuple[Document, list[str]]], scores: list[HapScore],
-                   run_config: RunConfig) -> list[FilterDecision]:
-    """Decide each document of a window from its sentences' scores, in
-    window order: the one place scored sentences become decisions."""
-    scores = iter(scores)
-    decisions = []
-    for doc, sentences in window:
-        doc_scores = list(islice(scores, len(sentences)))
-        fraction, kept = decide_from_scores([s.hap for s in doc_scores],
-                                            run_config.hap_threshold,
-                                            run_config.max_flagged_fraction)
-        decisions.append(FilterDecision(doc.id, list(zip(sentences, doc_scores)),
-                                        fraction, kept))
-    return decisions
+def _decide(doc: Document, sentences: list[str], scores: list[HapScore],
+            run_config: RunConfig) -> FilterDecision:
+    """Decide a document from its sentences' scores: the one place scored
+    sentences become a decision."""
+    fraction, kept = decide_from_scores([s.hap for s in scores], run_config.hap_threshold,
+                                        run_config.max_flagged_fraction)
+    return FilterDecision(doc.id, list(zip(sentences, scores)), fraction, kept)
 
 
 def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
@@ -306,7 +300,7 @@ def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
                            hap_threshold=hap_threshold, max_flagged_fraction=max_flagged_fraction)
     sentences = split_sentences(doc.text)
     scores = score_sentences(sentences, model, batch_size, max_length=max_length)
-    return _decide_window([(doc, sentences)], scores, run_config)[0]
+    return _decide(doc, sentences, scores, run_config)
 
 
 def unescape_text(text: str) -> str:
@@ -325,54 +319,52 @@ def _parse_corpus_line(line: str) -> Document | None:
     return Document(id=line[:tab], text=unescape_text(line[tab + 1:]))
 
 
-def _write_window(window: list[tuple[Document, list[str]]], scores: list[HapScore], out,
-                  run_config: RunConfig) -> int:
-    """Write a window's decision records in input order; return the kept count."""
-    decisions = _decide_window(window, scores, run_config)
-    for d in decisions:
-        joined = ",".join(f"{score.hap:.6f}" for _, score in d.sentence_scores)
-        out.write(f"{d.doc_id}\t{int(d.kept)}\t{d.flagged_fraction:.6f}\t{joined}\n")
-    return sum(d.kept for d in decisions)
-
-
 def refuse_overwrite(input_path: str | Path | None, output_path: str | Path | None) -> None:
-    """Before a streaming run reads or writes: raise ``FileNotFoundError``
-    for a missing input, and ``ValueError`` for an output that is the input
-    file (by path or hard link), which writing would truncate mid-read."""
-    if input_path is None or output_path is None:
+    """Before a streaming run opens its files: raise the ``OSError`` that
+    reading would for a missing, directory or unreadable input, without
+    opening it (a FIFO keeps its data), and ``ValueError`` for an output
+    that is the input file (by path or hard link), which writing truncates."""
+    if input_path is None:
         return
     source = os.stat(input_path)
-    if os.path.exists(output_path) and os.path.samestat(source, os.stat(output_path)):
+    if os.path.isdir(input_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(input_path))
+    if not os.access(input_path, os.R_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(input_path))
+    if (output_path is not None and os.path.exists(output_path)
+            and os.path.samestat(source, os.stat(output_path))):
         raise ValueError(f"output {output_path} would overwrite the input corpus")
 
 
 def score_windows(items: Iterable[tuple[object, list[str]]], model: LoadedModel,
-                  run_config: RunConfig, write: Callable[[list, list[HapScore]], None]) -> None:
-    """The one window loop of the streaming drivers. ``(item, sentences)``
-    pairs gather until the window holds ``WINDOW_SENTENCES`` sentences; the
-    window's sentences are then scored as one set on the run's scoring pool
-    (so a sentence repeated within it is scored once), and
-    ``write(window, scores)`` writes them in input order. Memory is bounded
-    by the window. When ``items`` raises ``UnicodeDecodeError``, the window
-    held so far is written first."""
+                  run_config: RunConfig) -> Iterator[tuple[object, list[str], list[HapScore]]]:
+    """The one window loop of the streaming drivers: yield each ``(item,
+    sentences)`` pair with its own scores, as ``(item, sentences, scores)``,
+    in input order. A window is scored once it holds ``WINDOW_SENTENCES``
+    sentences, as one set on the run's scoring pool (a sentence repeated in
+    it is scored once), so memory is bounded by the window. When ``items``
+    raises ``UnicodeDecodeError``, the window held so far is yielded first.
+    The pool lives until the generator ends or is closed."""
     window: list[tuple[object, list[str]]] = []
     held = 0
     with _scoring_pool() as pool:
-        def flush() -> None:
-            write(window, score_sentences([s for _, group in window for s in group], model,
+        def scored() -> Iterator[tuple[object, list[str], list[HapScore]]]:
+            scores = iter(score_sentences([s for _, group in window for s in group], model,
                                           run_config.batch_size,
                                           max_length=run_config.max_length, pool=pool))
+            for item, sentences in window:
+                yield item, sentences, list(islice(scores, len(sentences)))
         try:
             for item, sentences in items:
                 window.append((item, sentences))
                 held += len(sentences)
                 if held >= WINDOW_SENTENCES:
-                    flush()
+                    yield from scored()
                     window, held = [], 0
         except UnicodeDecodeError:
-            flush()
+            yield from scored()
             raise
-        flush()
+        yield from scored()
 
 
 def run_corpus(input_path: str | Path, output_path: str | Path,
@@ -381,12 +373,12 @@ def run_corpus(input_path: str | Path, output_path: str | Path,
 
     Lines are read by ``iter_lines`` (only LF ends a line) and documents
     scored by ``score_windows``, so tasks span documents, memory is bounded
-    by the window and each window's decisions are written in input order.
-    Malformed lines are counted, skipped and reported in one warning. A
-    line that is not valid UTF-8 raises ``UnicodeDecodeError`` after every
-    earlier decision is written; an output that is the input raises
-    ``ValueError`` first (``refuse_overwrite``). The OpenBLAS thread count
-    is restored when the run returns or raises.
+    by the window and decisions are written in input order. Malformed
+    lines are counted, skipped and reported in one warning. A line that is
+    not valid UTF-8 raises ``UnicodeDecodeError`` after every earlier
+    decision is written; an unreadable input, or an output that is the
+    input, raises before the output is opened (``refuse_overwrite``). The
+    OpenBLAS thread count is restored when the run returns or raises.
     """
     refuse_overwrite(input_path, output_path)
     start = time.perf_counter()
@@ -405,12 +397,12 @@ def run_corpus(input_path: str | Path, output_path: str | Path,
             processed += 1
             yield doc, split_sentences(doc.text)
 
-    def write(window: list[tuple[Document, list[str]]], scores: list[HapScore]) -> None:
-        nonlocal kept
-        kept += _write_window(window, scores, out, run_config)
-
     with open(output_path, "w", encoding="utf-8", newline="\n") as out:
-        score_windows(documents(), model, run_config, write)
+        for doc, sentences, scores in score_windows(documents(), model, run_config):
+            d = _decide(doc, sentences, scores, run_config)
+            joined = ",".join(f"{score.hap:.6f}" for score in scores)
+            out.write(f"{d.doc_id}\t{int(d.kept)}\t{d.flagged_fraction:.6f}\t{joined}\n")
+            kept += d.kept
     if skipped:
         logger.warning("skipped %d malformed corpus line(s); first line numbers: %s",
                        skipped, ", ".join(map(str, first_skipped)))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hapstack import pipeline
-from hapstack.encoder import EncoderConfig, init_random
+from hapstack import model_io, pipeline
+from hapstack.encoder import EncoderConfig, init_random, named_tensors, weights_from_tensors
 from hapstack.model_io import LoadedModel
 from hapstack.wordpiece import Vocabulary, build_ascii_vocab
 
@@ -68,6 +68,18 @@ def two_cpus(blas=None):
     with (mock.patch.object(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
           mock.patch.object(pipeline, "_openblas", lambda: blas)):
         yield
+
+
+def write_spread_bundle(source, path):
+    """Write the bundle at ``source`` to ``path`` with every weight but the
+    layernorms' 30 times larger, so its scores spread over about [0.1, 0.5];
+    a tiny random model scores every sentence within 1e-5 of 0.502, which
+    would hide a misplaced row. Returns ``path``."""
+    config, weights, vocab = model_io.load_bundle(source)
+    tensors = {name: arr if "_ln_" in name else arr * 30
+               for name, arr in named_tensors(weights, config).items()}
+    model_io.save_bundle(config, weights_from_tensors(tensors, config), vocab, path)
+    return path
 
 
 def read_raw_bundle(path):

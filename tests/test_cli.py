@@ -15,7 +15,8 @@ from hapstack import model_io, pipeline
 from hapstack.cli import main
 from hapstack.wordpiece import build_ascii_vocab
 
-from conftest import random_words, read_raw_bundle, two_cpus, write_raw_bundle
+from conftest import (random_words, read_raw_bundle, two_cpus, write_raw_bundle,
+                      write_spread_bundle)
 
 TINY_SPEC = "2,2,8,16,256,64"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -32,6 +33,12 @@ def bundle(tmp_path):
     assert main(["init-random", "--config", TINY_SPEC, "--seed", "0",
                  "--output", str(path)]) == 0
     return path
+
+
+@pytest.fixture
+def spread(bundle, tmp_path):
+    """``bundle`` with scores spread out, so a misplaced row shows."""
+    return write_spread_bundle(bundle, tmp_path / "spread.hap")
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -124,7 +131,7 @@ class TestScore:
         assert captured.out.endswith("\ta\n") and captured.out.count("\n") == 1
         assert "on line 2" in captured.err
 
-    def test_windows_match_one_call_over_the_whole_input(self, bundle, tmp_path, monkeypatch):
+    def test_windows_match_one_call_over_the_whole_input(self, spread, tmp_path, monkeypatch):
         # Five windows, every sentence repeated across them: the same lines,
         # texts and order as one score_sentences call, scores within 1e-6.
         rng = np.random.default_rng(31)
@@ -133,16 +140,16 @@ class TestScore:
         src, dst = tmp_path / "in.txt", tmp_path / "out.tsv"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         monkeypatch.setattr(pipeline, "WINDOW_SENTENCES", 8)
-        assert main(["score", "-m", str(bundle), "--batch-size", "3",
+        assert main(["score", "-m", str(spread), "--batch-size", "3",
                      "--input", str(src), "--output", str(dst)]) == 0
-        expected = pipeline.score_sentences(lines, model_io.load_bundle(bundle), 32)
+        expected = pipeline.score_sentences(lines, model_io.load_bundle(spread), 32)
         records = [record.split("\t") for record in dst.read_text(encoding="utf-8").splitlines()]
         assert [text for _, _, text in records] == lines
         for (hap, non_hap, _), score in zip(records, expected):
             assert abs(float(hap) - score.hap) <= 1e-6
             assert abs(float(non_hap) - score.non_hap) <= 1e-6
 
-    def test_pooled_and_sequential_output_identical(self, bundle, tmp_path, monkeypatch):
+    def test_pooled_and_sequential_output_identical(self, spread, tmp_path, monkeypatch):
         rng = np.random.default_rng(32)
         src = tmp_path / "in.txt"
         src.write_text("".join(random_words(rng, int(rng.integers(1, 12))) + ".\n"
@@ -160,7 +167,7 @@ class TestScore:
                            ("sequential", mock.patch.object(pipeline, "_openblas", lambda: None))):
             outputs[name] = tmp_path / f"{name}.tsv"
             with blas, mock.patch.object(pipeline, "score_sentences", recording):
-                assert main(["score", "-m", str(bundle), "--batch-size", "2",
+                assert main(["score", "-m", str(spread), "--batch-size", "2",
                              "--input", str(src), "--output", str(outputs[name])]) == 0
         assert pools == [True] * 4 + [False] * 4  # four windows each, the last one partial
         assert outputs["pooled"].read_bytes() == outputs["sequential"].read_bytes()
@@ -250,6 +257,25 @@ class TestStreamingDrivers:
         assert code == 1
         assert f"output {dst} would overwrite the input corpus" in captured.err
         assert src.read_bytes() == b"d1\tone line.\nd2\tanother line.\n"
+
+    @pytest.mark.parametrize("command", ["score", "heatmap", "filter"])
+    @pytest.mark.parametrize("kind, error", [("directory", "Is a directory"),
+                                             ("unreadable", "Permission denied")],
+                             ids=["directory", "unreadable"])
+    def test_unreadable_input_refused_before_output_opens(self, bundle, tmp_path, capsys,
+                                                          command, kind, error):
+        src, dst = tmp_path / "in", tmp_path / "out.txt"
+        if kind == "directory":
+            src.mkdir()
+        else:
+            src.write_bytes(b"d1\tone line.\n")
+        dst.write_bytes(b"earlier\n")
+        # Root may read any file, so whether this process may read it is forced.
+        with mock.patch.object(os, "access", lambda path, mode: kind != "unreadable"):
+            code = main([command, "-m", str(bundle), "--input", str(src), "--output", str(dst)])
+        assert code == 1
+        assert error in capsys.readouterr().err
+        assert dst.read_bytes() == b"earlier\n"
 
     @pytest.mark.parametrize("command, n_lines",
                              [("score", 800), ("heatmap", 100), ("sample", 800)])

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hapstack import model_io, pipeline
+from hapstack import pipeline
 from hapstack.cli import main
-from hapstack.encoder import named_tensors, weights_from_tensors
 
-from conftest import two_cpus
+from conftest import two_cpus, write_spread_bundle
 
 TINY_SPEC = "2,2,8,16,256,64"
 # About 600 pieces under the ASCII vocabulary, over any --max-length.
@@ -52,15 +51,8 @@ def files(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def spread_bundle(files):
-    """``model.hap`` with every weight but the layernorms' 30 times larger,
-    so its scores spread over about [0.1, 0.5]; the unscaled model scores
-    every sentence within 1e-5 of 0.502, which would hide a misplaced row."""
-    config, weights, vocab = model_io.load_bundle(files / "model.hap")
-    tensors = {name: arr if "_ln_" in name else arr * 30
-               for name, arr in named_tensors(weights, config).items()}
-    path = files / "spread.hap"
-    model_io.save_bundle(config, weights_from_tensors(tensors, config), vocab, path)
-    return path
+    """``model.hap`` with scores spread out (``write_spread_bundle``)."""
+    return write_spread_bundle(files / "model.hap", files / "spread.hap")
 
 
 def run(argv, stdin=b""):

@@ -485,15 +485,15 @@ class TestScoringPool:
         return src
 
     def _pinned_counts(self, get_threads):
-        """Record the OpenBLAS thread count as each window is written."""
+        """Record the OpenBLAS thread count as each document is decided."""
         counts = []
-        write_window = pipeline._write_window
+        decide = pipeline._decide
 
-        def recording(window, *args):
+        def recording(*args):
             counts.append(get_threads())
-            return write_window(window, *args)
+            return decide(*args)
 
-        return counts, mock.patch.object(pipeline, "_write_window", recording)
+        return counts, mock.patch.object(pipeline, "_decide", recording)
 
     def test_count_restored_after_a_run(self, tiny_model, tmp_path, openblas):
         counts, recording = self._pinned_counts(openblas[1])
@@ -511,6 +511,25 @@ class TestScoringPool:
         assert openblas[1]() == 3
         assert len((tmp_path / "out.tsv").read_text(encoding="utf-8").splitlines()) == 12
 
+    def test_count_restored_after_a_failed_decision(self, tiny_model, tmp_path, openblas):
+        # The error unwinds run_corpus's loop over score_windows, which
+        # closes the generator, and with it the scoring pool, at once.
+        counts = []
+        decide = pipeline._decide
+
+        def failing(*args):
+            counts.append(openblas[1]())
+            if len(counts) == 3:
+                raise OSError("no space left on device")
+            return decide(*args)
+
+        with (two_cpus(), mock.patch.object(pipeline, "_decide", failing),
+              pytest.raises(OSError, match="no space left")):
+            run_corpus(self._corpus(tmp_path), tmp_path / "out.tsv", tiny_model, RunConfig())
+        assert counts == [1, 1, 1]
+        assert openblas[1]() == 3
+        assert pipeline._pinned_runs == 0
+
     def test_count_restored_after_overlapping_runs(self, tiny_model, tmp_path, openblas):
         # "first" enters, "second" enters, "first" leaves while "second"
         # still runs pinned, then "second" leaves and restores the count.
@@ -519,9 +538,9 @@ class TestScoringPool:
         both_in = threading.Barrier(2, timeout=30)
         first_left = threading.Event()
         entered, counts, errors = set(), [], []
-        write_window = pipeline._write_window
+        decide = pipeline._decide
 
-        def overlapping(window, *args):
+        def overlapping(*args):
             name = threading.current_thread().name
             if name not in entered:
                 entered.add(name)
@@ -529,7 +548,7 @@ class TestScoringPool:
                 if name == "second":
                     first_left.wait(30)
                     counts.append(get_threads())
-            return write_window(window, *args)
+            return decide(*args)
 
         def run(name):
             try:
@@ -540,7 +559,7 @@ class TestScoringPool:
                 if name == "first":
                     first_left.set()
 
-        with two_cpus(), mock.patch.object(pipeline, "_write_window", overlapping):
+        with two_cpus(), mock.patch.object(pipeline, "_decide", overlapping):
             runs = [threading.Thread(target=run, args=(name,), name=name)
                     for name in ("first", "second")]
             for thread in runs:
@@ -734,16 +753,16 @@ class TestStreamingReader:
                     for line in data.split("\n")[:n_lines]
                     if line.find("\t") > 0]
         seen = []
-        write_window = pipeline._write_window
+        decide = pipeline._decide
 
-        def recording(window, *args):
-            seen.extend((doc.id, doc.text) for doc, _ in window)
-            return write_window(window, *args)
+        def recording(doc, *args):
+            seen.append((doc.id, doc.text))
+            return decide(doc, *args)
 
         with tempfile.TemporaryDirectory() as tmp:
             src, dst = Path(tmp) / "in.tsv", Path(tmp) / "out.tsv"
             src.write_bytes(data.encode("utf-8"))
-            with mock.patch.object(pipeline, "_write_window", recording):
+            with mock.patch.object(pipeline, "_decide", recording):
                 summary = run_corpus(src, dst, tiny_model, RunConfig())
             out_ids = [record.split("\t")[0]
                        for record in dst.read_bytes().decode("utf-8").split("\n")[:-1]]
