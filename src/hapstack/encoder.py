@@ -72,7 +72,8 @@ class EncoderConfig:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
         eps = self.layernorm_epsilon  # the forward adds it in float32
-        if isinstance(eps, bool) or not 0 < eps <= float(np.finfo(np.float32).max):
+        if (isinstance(eps, bool) or not 0 < eps <= float(np.finfo(np.float32).max)
+                or np.float32(eps) == 0):
             raise ValueError("layernorm_epsilon must be positive and finite in float32")
 
     @property
@@ -133,6 +134,13 @@ class ModelWeights:
     pooler_bias: np.ndarray
     classifier_weight: np.ndarray
     classifier_bias: np.ndarray
+
+
+# The packed layout, one (rows, cls_rows, t, bias) per run of sequences of
+# length t: their token rows and their classification rows, as slices of
+# the [N, hidden] and [B, hidden] arrays, and None or an additive
+# [b, 1, 1, t] mask bias. Only _forward builds it.
+Runs = list[tuple[slice, slice, int, np.ndarray | None]]
 
 
 @dataclass
@@ -276,28 +284,24 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _probabilities(q: np.ndarray, k: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
+def _probabilities(q: np.ndarray, k: np.ndarray, runs: Runs,
                    config: EncoderConfig) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield each run's rows and its attention probabilities [b, heads, t, t],
     from the queries ``q`` and keys ``k`` [N, hidden] of every row: each
     run's scores are scaled, biased and softmaxed in place."""
     heads, head_dim = config.num_heads, config.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
-    begin = 0
-    for b, t, bias in runs:
-        stop = begin + b * t
-        scores = (q[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 1, 3)
-                  @ k[begin:stop].reshape(b, t, heads, head_dim).transpose(0, 2, 3, 1))
+    for rows, _, t, bias in runs:
+        scores = (q[rows].reshape(-1, t, heads, head_dim).transpose(0, 2, 1, 3)
+                  @ k[rows].reshape(-1, t, heads, head_dim).transpose(0, 2, 3, 1))
         scores *= scale
         if bias is not None:
             scores += bias
-        yield slice(begin, stop), _softmax(scores)
+        yield rows, _softmax(scores)
         del scores  # freed before the next run allocates its scores
-        begin = stop
 
 
-def _attention(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
-               layer: LayerWeights, config: EncoderConfig,
+def _attention(x: np.ndarray, runs: Runs, layer: LayerWeights, config: EncoderConfig,
                attentions: list[np.ndarray] | None) -> np.ndarray:
     """The attention context [N, hidden] of every row of ``x``. Q, K and V
     are one GEMM each over all rows, and each run's ``_probabilities``
@@ -322,8 +326,7 @@ def _attention(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
     return context
 
 
-def _cls_attention(x: np.ndarray, cls: np.ndarray,
-                   runs: list[tuple[int, int, np.ndarray | None]], layer: LayerWeights,
+def _cls_attention(x: np.ndarray, cls: np.ndarray, runs: Runs, layer: LayerWeights,
                    config: EncoderConfig) -> np.ndarray:
     """The attention context [B, hidden] of the classification rows ``cls``
     of ``x``, with no K or V projection of any row.
@@ -343,14 +346,12 @@ def _cls_attention(x: np.ndarray, cls: np.ndarray,
     r = (q.reshape(-1, heads, head_dim).transpose(1, 0, 2)
          @ layer.k_weight.reshape(hidden, heads, head_dim).transpose(1, 2, 0)).transpose(1, 0, 2)
     mixed = np.empty((len(cls), heads, hidden), dtype=np.float32)  # p_h·X, per head
-    begin = row = 0
-    for b, t, bias in runs:
-        x_run = x[begin:begin + b * t].reshape(b, t, hidden)
-        scores = r[row:row + b] @ x_run.transpose(0, 2, 1)
+    for rows, cls_rows, t, bias in runs:
+        x_run = x[rows].reshape(-1, t, hidden)
+        scores = r[cls_rows] @ x_run.transpose(0, 2, 1)
         if bias is not None:
-            scores += bias.reshape(b, 1, t)
-        mixed[row:row + b] = _softmax(scores) @ x_run
-        begin, row = begin + b * t, row + b
+            scores += bias.reshape(-1, 1, t)
+        mixed[cls_rows] = _softmax(scores) @ x_run
     # [heads, B, hidden] @ [heads, hidden, d], back to [B, hidden].
     context = (mixed.transpose(1, 0, 2)
                @ layer.v_weight.reshape(hidden, heads, head_dim).transpose(1, 0, 2))
@@ -375,25 +376,22 @@ def _block(x: np.ndarray, context: np.ndarray, layer: LayerWeights, eps: float) 
     return _layernorm(y, layer.ffn_ln_gamma, layer.ffn_ln_beta, eps)
 
 
-def _blocks(x: np.ndarray, runs: list[tuple[int, int, np.ndarray | None]],
-            weights: ModelWeights, config: EncoderConfig,
+def _blocks(x: np.ndarray, runs: Runs, weights: ModelWeights, config: EncoderConfig,
             attentions: list[np.ndarray] | None = None) -> np.ndarray:
     """Run every block over ``x``, the embedded rows [N, hidden] of
-    sequences laid end to end, and return the final block's output on each
-    sequence's classification row (its first), [B, hidden].
+    sequences laid end to end as ``runs`` cuts them, and return the final
+    block's output on each sequence's classification row (its first),
+    [B, hidden].
 
-    ``runs`` cuts the rows, in order, into ``(b, t, bias)``: ``b``
-    sequences of length ``t`` and None or an additive [b, 1, 1, t] mask
-    bias. Projections, the FFN, gelu and layernorms run once per block
-    over all rows (``_attention``, then ``_block``). Only the pooler reads
+    Projections, the FFN, gelu and layernorms run once per block over all
+    rows (``_attention``, then ``_block``). Only the pooler reads
     the final block's output, so that block runs on the classification
     rows alone, from the context of ``_cls_attention``. When
     ``attentions`` is a list, every block's probabilities of every run are
     appended to it; the final block's come from ``_probabilities``.
     """
     eps = config.layernorm_epsilon
-    lengths = np.repeat([t for _, t, _ in runs], [b for b, _, _ in runs])
-    cls = np.concatenate([[0], np.cumsum(lengths[:-1])])
+    cls = np.concatenate([np.arange(rows.start, rows.stop, t) for rows, _, t, _ in runs])
     *inner, final = weights.layers
     for layer in inner:
         x = _block(x, _attention(x, runs, layer, config, attentions), layer, eps)
@@ -413,8 +411,9 @@ def _forward(seqs: list[TokenizedSequence], weights: ModelWeights, config: Encod
              attentions: list[np.ndarray] | None = None) -> np.ndarray:
     """Classifier logits [B, 2] of ``seqs`` in input order, the prologue of
     both entries: tokens laid end to end in order of length (stable), cut
-    into runs of equal length for ``_blocks`` (which takes ``attentions``),
-    with a pad-column mask bias only on a run that holds padding."""
+    into the ``Runs`` of equal length that ``_blocks`` takes (with
+    ``attentions``), with a pad-column mask bias only on a run that holds
+    padding."""
     if not seqs:
         return np.empty((0, config.num_labels), dtype=np.float32)
     if any(len(seq.attention_mask) != len(seq.ids) for seq in seqs):
@@ -431,15 +430,19 @@ def _forward(seqs: list[TokenizedSequence], weights: ModelWeights, config: Encod
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of range for vocab_size "
                          f"{config.vocab_size}: [{ids.min()}, {ids.max()}]")
-    runs = []
+    runs: Runs = []
+    begin = row = 0
     for t, group in groupby(order, key=lambda i: len(seqs[i].ids)):
         run = [seqs[i] for i in group]
+        b = len(run)
         bias = None
         if any(0 in seq.attention_mask for seq in run):
             mask = np.asarray([seq.attention_mask for seq in run], dtype=np.float32)
             bias = (np.float32(1.0) - mask)[:, None, None, :] * np.float32(ATTENTION_MASK_BIAS)
-        runs.append((len(run), t, bias))
-    positions = np.concatenate([np.tile(np.arange(t), b) for b, t, _ in runs])
+        runs.append((slice(begin, begin + b * t), slice(row, row + b), t, bias))
+        begin, row = begin + b * t, row + b
+    positions = np.concatenate([np.tile(np.arange(t), cls_rows.stop - cls_rows.start)
+                                for _, cls_rows, t, _ in runs])
     logits = np.empty((len(seqs), config.num_labels), dtype=np.float32)
     # The embedded rows go to _blocks unnamed, so they are freed after its
     # first block: the forward's speed depends on its allocation order.

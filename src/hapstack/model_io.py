@@ -158,6 +158,13 @@ def load_bundle(path: str | Path) -> LoadedModel:
             table = json.loads(sections["table"].decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             raise BundleError(f"invalid tensor table: {exc}") from exc
+        # The table is O(layers): a layer count the file cannot hold fails first.
+        one_layer = tensor_shapes(dataclasses.replace(config, num_layers=1))
+        layer_bytes = 4 * sum(prod(shape) for name, shape in one_layer.items()
+                              if name.startswith("layer."))
+        if config.num_layers * layer_bytes > status.st_size:
+            raise TruncatedBundleError(f"bundle holds {status.st_size} bytes, too few for "
+                                       f"{config.num_layers} layers")
         layout = _layout(config)
         if table != layout:
             entries = table if isinstance(table, list) else [table]

@@ -143,22 +143,26 @@ def softmax_pair(logits: np.ndarray) -> HapScore:
     return HapScore(non_hap=ea / z, hap=eb / z)
 
 
-def _batch_indices(seqs: list[TokenizedSequence], batch_size: int,
-                   token_budget: int) -> list[list[int]]:
-    """Cut the indices, in order of token length (stable), into tasks of at
-    most ``batch_size`` rows and, unless a task is one row, at most
-    ``token_budget`` real tokens. Scoring passes ``TOKEN_BUDGET``."""
-    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i].ids))
+def _plan(seqs: list[TokenizedSequence], batch_size: int) -> tuple[list[list[int]], list[int]]:
+    """The scoring plan of a window: ``(tasks, slots)``. ``slots[i]`` is the
+    index of the first sequence with the ids of ``seqs[i]``, and only those
+    first sequences run. They are cut, in order of token length (stable),
+    into tasks of at most ``batch_size`` rows and, unless a task is one
+    row, at most ``TOKEN_BUDGET`` real tokens; tasks come largest first
+    (by tokens), so a long task does not run last and alone."""
+    first: dict[tuple[int, ...], int] = {}
+    slots = [first.setdefault(tuple(seq.ids), i) for i, seq in enumerate(seqs)]
     tasks: list[list[int]] = []
     tokens = 0
-    for idx in order:
+    for idx in sorted(first.values(), key=lambda i: len(seqs[i].ids)):
         length = len(seqs[idx].ids)
-        if not tasks or len(tasks[-1]) >= batch_size or tokens + length > token_budget:
+        if not tasks or len(tasks[-1]) >= batch_size or tokens + length > TOKEN_BUDGET:
             tasks.append([])
             tokens = 0
         tasks[-1].append(idx)
         tokens += length
-    return tasks
+    tasks.sort(key=lambda task: sum(len(seqs[i].ids) for i in task), reverse=True)
+    return tasks, slots
 
 
 @cache
@@ -240,27 +244,13 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
     """Score each sentence; output order matches input order and the
     results are independent of task composition within 1e-5. Every encoded
     sentence is held until the call returns; ``score_windows`` streams.
-
-    Each distinct token-id sequence is run through the encoder once and
-    its score shared by every sentence that encodes to it. Its tasks
-    (``_batch_indices``) run largest first (by tokens), on ``pool`` when
-    one is given, so a long task does not run last and alone.
-    """
+    The tasks of ``_plan`` run on ``pool`` when one is given."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     config, weights, vocab = model
     effective_max = min(max_length, config.max_positions)
-    seqs: list[TokenizedSequence] = []
-    slot_of_ids: dict[tuple[int, ...], int] = {}
-    slots = []
-    for sentence in sentences:
-        seq = encode(sentence, vocab, effective_max, pad_to_max=False)
-        slot = slot_of_ids.setdefault(tuple(seq.ids), len(seqs))
-        if slot == len(seqs):
-            seqs.append(seq)
-        slots.append(slot)
-    tasks = sorted(_batch_indices(seqs, batch_size, TOKEN_BUDGET), reverse=True,
-                   key=lambda task: sum(len(seqs[i].ids) for i in task))
+    seqs = [encode(sentence, vocab, effective_max, pad_to_max=False) for sentence in sentences]
+    tasks, slots = _plan(seqs, batch_size)
 
     def run(task: list[int]) -> np.ndarray:
         return packed_logits([seqs[i] for i in task], weights, config)

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 from hapstack import pipeline
 from hapstack.config import RunConfig
@@ -73,6 +74,29 @@ def test_explain_and_check_alone_call_forms(tmp_path):
     assert {"tokens", "pieces", "unk", "truncated"} <= set(infos["pipeline.encode"])
     assert {"rows", "t", "flop", "attention_bytes"} <= set(infos["pipeline.forward_batch"])
     assert "heatmap.compute_heatmap" in infos and "heatmap.render_heatmap" in infos
+
+
+def test_traced_encodes_count_repeats_the_forward_skips():
+    # perfbench's dup_share and token counts read one pipeline.encode span
+    # per sentence, repeats included; the forward runs each distinct
+    # sentence once. The tracer does not wrap packed_logits, hence the spy.
+    sentences = ["One fine day.", "Another one!", "One fine day.", "A third.", "Another one!"]
+    rows = []
+    packed_logits = pipeline.packed_logits
+
+    def spy(seqs, *args):
+        rows.append(len(seqs))
+        return packed_logits(seqs, *args)
+
+    tracer = tracing.Tracer()
+    tracer.install(workloads.COUNTERS)
+    try:
+        with mock.patch.object(pipeline, "packed_logits", spy):
+            pipeline.score_sentences(sentences, tiny_model(), 32)
+    finally:
+        tracer.restore()
+    assert [span.name for span in tracer.spans].count("pipeline.encode") == 5
+    assert sum(rows) == 3
 
 
 def test_setup_probe_times_a_traced_load(tmp_path):

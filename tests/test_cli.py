@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -132,16 +133,27 @@ class TestScore:
         assert "on line 2" in captured.err
 
     def test_windows_match_one_call_over_the_whole_input(self, spread, tmp_path, monkeypatch):
-        # Five windows, every sentence repeated across them: the same lines,
-        # texts and order as one score_sentences call, scores within 1e-6.
+        # Five pooled windows, every sentence repeated across them: the same
+        # lines, texts and order as one sequential score_sentences call,
+        # scores within 1e-6. "a." and "b." are 4 pieces each, so a window
+        # holds tasks of more than one row even if tasks were cut at 8 tokens.
         rng = np.random.default_rng(31)
-        pool = [random_words(rng, int(rng.integers(1, 9))) + "." for _ in range(9)]
+        pool = [random_words(rng, int(rng.integers(1, 9))) + "." for _ in range(9)] + ["a.", "b."]
         lines = [pool[int(i)] for i in rng.integers(0, len(pool), size=40)]
         src, dst = tmp_path / "in.txt", tmp_path / "out.tsv"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         monkeypatch.setattr(pipeline, "WINDOW_SENTENCES", 8)
-        assert main(["score", "-m", str(spread), "--batch-size", "3",
-                     "--input", str(src), "--output", str(dst)]) == 0
+        threads = []
+        packed_logits = pipeline.packed_logits
+
+        def recording(seqs, *args):
+            threads.append(threading.get_ident())
+            return packed_logits(seqs, *args)
+
+        with two_cpus(), mock.patch.object(pipeline, "packed_logits", recording):
+            assert main(["score", "-m", str(spread), "--batch-size", "3",
+                         "--input", str(src), "--output", str(dst)]) == 0
+        assert threads and threading.get_ident() not in threads  # every task ran pooled
         expected = pipeline.score_sentences(lines, model_io.load_bundle(spread), 32)
         records = [record.split("\t") for record in dst.read_text(encoding="utf-8").splitlines()]
         assert [text for _, _, text in records] == lines

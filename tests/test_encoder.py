@@ -379,8 +379,8 @@ class TestPackedLogits:
             x = weights.token_embedding[ids] + weights.position_embedding[:t]
             x = encoder._layernorm(x.reshape(-1, config.hidden_size), weights.embedding_ln_gamma,
                                    weights.embedding_ln_beta, config.layernorm_epsilon)
-            return encoder._head(encoder._blocks(x, [(len(seqs), t, run_bias)], weights,
-                                                 config), weights)
+            runs = [(slice(0, len(seqs) * t), slice(0, len(seqs)), t, run_bias)]
+            return encoder._head(encoder._blocks(x, runs, weights, config), weights)
 
         np.testing.assert_array_equal(logits(bias), batched)
         assert not np.allclose(logits(None)[1:], expected[1:], atol=1e-3)
@@ -567,6 +567,7 @@ class TestConfigValidation:
         ("max_positions", None), ("num_labels", 3), ("layernorm_epsilon", float("nan")),
         ("layernorm_epsilon", float("inf")), ("layernorm_epsilon", 1e39),
         ("layernorm_epsilon", 10**39), ("layernorm_epsilon", True),
+        ("layernorm_epsilon", 1e-50),
     ])
     def test_rejected_field_value(self, field, value):
         fields = dict(num_layers=1, num_heads=1, hidden_size=8, intermediate_size=16,

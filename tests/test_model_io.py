@@ -266,10 +266,10 @@ def test_bad_config_record_rejected_on_load(tmp_path, field, value):
         load_bundle(path)
 
 
-@pytest.mark.parametrize("epsilon", ["Infinity", "1e400", "1e39"])
-def test_infinite_epsilon_rejected_on_load(tmp_path, epsilon):
-    # Each is inf once the forward casts it to float32, and every layernorm
-    # would divide by it.
+@pytest.mark.parametrize("epsilon", ["Infinity", "1e400", "1e39", "1e-50"])
+def test_epsilon_outside_float32_rejected_on_load(tmp_path, epsilon):
+    # Each is inf or 0 once the forward casts it to float32: every layernorm
+    # would divide by it, or a constant row would score NaN.
     path = tmp_path / "model.hap"
     config = small_config(64)
     save_bundle(config, init_random(config, 0), build_ascii_vocab(64), path)
@@ -418,6 +418,25 @@ def test_huge_section_length_allocates_nothing(tmp_path):
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_huge_layer_count_refused_before_the_table(tmp_path):
+    # Only num_layers edited: the table of 10**4 layers would be built, at
+    # about 51 MiB, before the size check refused it.
+    path = tmp_path / "model.hap"
+    config = small_config(64)
+    save_bundle(config, init_random(config, 0), build_ascii_vocab(64), path)
+    config_record, tokens, tensors = read_raw_bundle(path)
+    write_raw_bundle(path, {**config_record, "num_layers": 10**4}, tokens, tensors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BundleError) as refused:
+            load_bundle(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert "10000 layers" in str(refused.value)
 
 
 FAILED_SAVE_TENSOR = {"nan": "ffn_up_weight", "shape": "token_embedding",

@@ -37,7 +37,7 @@ from hapstack.pipeline import (
     split_sentences,
     unescape_text,
 )
-from hapstack.pipeline import _batch_indices
+from hapstack.pipeline import _plan
 from hapstack.rescore import Hypothesis, rescore_beam
 from hapstack.wordpiece import TokenizedSequence, iter_lines
 
@@ -194,9 +194,15 @@ class TestScoreSentences:
             score_sentences(["x"], tiny_model, batch_size=0)
 
 
-def _seqs(lengths):
-    return [TokenizedSequence(ids=[1] * n, attention_mask=[1] * n, word_spans=[],
-                              pieces=[], words=[]) for n in lengths]
+def _seqs(rows):
+    """Unpadded sequences of the given id lists."""
+    return [TokenizedSequence(ids=ids, attention_mask=[1] * len(ids), word_spans=[],
+                              pieces=[], words=[]) for ids in rows]
+
+
+def _plan_within(seqs, batch_size, token_budget):
+    with mock.patch.object(pipeline, "TOKEN_BUDGET", token_budget):
+        return _plan(seqs, batch_size)
 
 
 class TestBatchIndices:
@@ -204,20 +210,45 @@ class TestBatchIndices:
     @given(st.lists(st.integers(1, 600), max_size=60), st.integers(1, 40),
            st.integers(1, 10000))
     def test_partition_within_ceilings(self, lengths, batch_size, token_budget):
-        batches = _batch_indices(_seqs(lengths), batch_size, token_budget)
-        flat = [i for batch in batches for i in batch]
-        assert sorted(flat) == list(range(len(lengths)))
-        assert [lengths[i] for i in flat] == sorted(lengths)
-        for batch in batches:
+        # Distinct ids, so no row is a repeat: every row runs, in a task cut
+        # from the stable length order.
+        batches, _ = _plan_within(_seqs([[i] * n for i, n in enumerate(lengths)]),
+                                  batch_size, token_budget)
+        order = sorted(range(len(lengths)), key=lengths.__getitem__)
+        cut = sorted(batches, key=lambda batch: order.index(batch[0]))
+        assert [i for batch in cut for i in batch] == order
+        sizes = [sum(lengths[i] for i in batch) for batch in batches]
+        assert sizes == sorted(sizes, reverse=True)
+        for batch, size in zip(batches, sizes):
             assert 1 <= len(batch) <= batch_size
-            assert len(batch) == 1 or sum(lengths[i] for i in batch) <= token_budget
+            assert len(batch) == 1 or size <= token_budget
 
     def test_cut_at_token_budget(self):
         # Real tokens, not rows x width: 10 + 11 + 12 = 33 fit a budget of 33,
         # one token less starts a new task, and a longer row runs alone.
-        lengths = [10, 11, 12, 12, 600]
-        assert _batch_indices(_seqs(lengths), 64, 33) == [[0, 1, 2], [3], [4]]
-        assert _batch_indices(_seqs(lengths), 64, 32) == [[0, 1], [2, 3], [4]]
+        # Tasks come largest first.
+        seqs = _seqs([[i] * n for i, n in enumerate([10, 11, 12, 12, 600])])
+        assert _plan_within(seqs, 64, 33)[0] == [[4], [0, 1, 2], [3]]
+        assert _plan_within(seqs, 64, 32)[0] == [[4], [2, 3], [0, 1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5), max_size=30),
+           st.integers(1, 8), st.integers(1, 20))
+    @example(rows=[], batch_size=4, token_budget=8)
+    @example(rows=[[0] * 9, [1], [2]], batch_size=4, token_budget=8)
+    @example(rows=[[0], [1], [0, 1], [0]], batch_size=1, token_budget=20)
+    @example(rows=[[2, 2]] * 5, batch_size=2, token_budget=8)
+    def test_repeats_run_once(self, rows, batch_size, token_budget):
+        # A small id alphabet, so rows repeat: each slot is the first row
+        # with its ids, and the tasks run each of those first rows once.
+        tasks, slots = _plan_within(_seqs(rows), batch_size, token_budget)
+        assert slots == [rows.index(ids) for ids in rows]
+        assert sorted(i for task in tasks for i in task) == sorted(set(slots))
+        sizes = [sum(len(rows[i]) for i in task) for task in tasks]
+        assert sizes == sorted(sizes, reverse=True)
+        for task, size in zip(tasks, sizes):
+            assert 1 <= len(task) <= batch_size
+            assert len(task) == 1 or size <= token_budget
 
 
 class TestFilterDocument:
