@@ -19,6 +19,9 @@ import numpy as np
 from .wordpiece import TokenizedSequence
 
 INIT_SCALE = 0.02
+# Values per float64 draw in ``init_random``: bounds its transient memory
+# to 8 MiB beside the float32 model.
+INIT_DRAW_VALUES = 1 << 20
 # Additive bias on pad columns; large enough that float32 softmax assigns
 # them exactly zero mass.
 ATTENTION_MASK_BIAS = -1.0e9
@@ -211,7 +214,9 @@ def weights_from_tensors(tensors: dict[str, np.ndarray], config: EncoderConfig) 
 
 def init_random(config: EncoderConfig, seed: int) -> ModelWeights:
     """Deterministic random weights: N(0, 0.02) everywhere, layernorm
-    gamma=1 / beta=0. Same (config, seed) always yields identical tensors."""
+    gamma=1 / beta=0. Same (config, seed) always yields identical tensors:
+    each is ``rng.normal(0.0, INIT_SCALE, size=shape).astype(np.float32)``,
+    drawn into its float32 array in chunks of the same stream."""
     rng = np.random.default_rng(seed)
     tensors = {}
     for name, shape in tensor_shapes(config).items():
@@ -220,7 +225,11 @@ def init_random(config: EncoderConfig, seed: int) -> ModelWeights:
         elif name.endswith("ln_beta"):
             tensors[name] = np.zeros(shape, dtype=np.float32)
         else:
-            tensors[name] = rng.normal(0.0, INIT_SCALE, size=shape).astype(np.float32)
+            tensor = tensors[name] = np.empty(shape, dtype=np.float32)
+            flat = tensor.reshape(-1)
+            for start in range(0, flat.size, INIT_DRAW_VALUES):
+                part = flat[start:start + INIT_DRAW_VALUES]
+                part[...] = rng.normal(0.0, INIT_SCALE, size=part.size)
     return weights_from_tensors(tensors, config)
 
 

@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from hapstack import pipeline
 from hapstack.config import RunConfig
 from hapstack.encoder import EncoderConfig, init_random
@@ -99,14 +101,17 @@ def test_traced_encodes_count_repeats_the_forward_skips():
     assert sum(rows) == 3
 
 
-def test_setup_probe_times_a_traced_load(tmp_path):
+@pytest.mark.parametrize("flags", [[], ["--trace"]], ids=["untraced", "traced"])
+def test_setup_probe_times_a_load(tmp_path, flags):
     # The probe measures the benchmark's setup_s: a fresh process that
-    # imports this checkout's package and loads a bundle through the tracer.
+    # imports this checkout's package and loads a bundle, untraced (the
+    # timed form, which reads hapstack.model_io off the package root) and
+    # through the tracer.
     bundle = tmp_path / "model.hap"
     save_bundle(*tiny_model(), bundle)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, str(BENCH / "probe.py"), str(bundle), "--trace"],
+    done = subprocess.run([sys.executable, str(BENCH / "probe.py"), str(bundle), *flags],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     record = json.loads(done.stdout.strip().splitlines()[-1])
     assert record["load_s"] > 0

@@ -72,6 +72,41 @@ class TestInitRandom:
         np.testing.assert_array_equal(w.embedding_ln_gamma, np.ones(8, dtype=np.float32))
         np.testing.assert_array_equal(w.layers[0].attn_ln_beta, np.zeros(8, dtype=np.float32))
 
+    @pytest.mark.parametrize("draw_values", [7, 64, encoder.INIT_DRAW_VALUES])
+    @pytest.mark.parametrize("config", [
+        EncoderConfig(num_layers=2, num_heads=2, hidden_size=8,
+                      intermediate_size=16, vocab_size=16, max_positions=16),
+        # Hidden size 1: one-row weights, and tensors of one value.
+        EncoderConfig(num_layers=1, num_heads=1, hidden_size=1,
+                      intermediate_size=1, vocab_size=5, max_positions=2),
+        EncoderConfig(num_layers=1, num_heads=3, hidden_size=12,
+                      intermediate_size=40, vocab_size=301, max_positions=33),
+    ])
+    def test_tensors_equal_the_whole_float64_draw(self, config, draw_values, monkeypatch):
+        # Chunked draws read the same stream: every tensor, 1-D ones too,
+        # equals one float64 draw of its shape cast to float32.
+        monkeypatch.setattr(encoder, "INIT_DRAW_VALUES", draw_values)
+        for seed in (0, 11):
+            rng = np.random.default_rng(seed)
+            for name, tensor in named_tensors(init_random(config, seed), config).items():
+                if "_ln_" in name:
+                    continue
+                expected = rng.normal(0.0, encoder.INIT_SCALE, size=tensor.shape)
+                np.testing.assert_array_equal(tensor, expected.astype(np.float32), err_msg=name)
+                assert tensor.dtype == np.float32
+
+    def test_peak_memory_is_one_float32_model(self):
+        config = EncoderConfig(num_layers=1, num_heads=2, hidden_size=64,
+                               intermediate_size=128, vocab_size=200000)
+        tracemalloc.start()
+        try:
+            weights = init_random(config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = sum(t.nbytes for t in named_tensors(weights, config).values())
+        assert peak <= model + 16 * 2**20, f"peak {peak / 2**20:.1f} MiB, model {model / 2**20:.1f}"
+
 
 class TestForward:
     def test_single_token_attention_is_one(self, tiny_config):
@@ -506,6 +541,23 @@ def test_scoring_does_not_import_scipy():
     src = str(Path(hapstack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_package_root_loads_only_the_bundle_loader():
+    # Names are imported from their modules; the root exposes model_io alone.
+    code = (
+        "import sys\n"
+        "import hapstack\n"
+        "assert callable(hapstack.model_io.load_bundle)\n"
+        "print(sorted(m for m in ('pipeline', 'cli', 'bootstrap', 'rescore', 'heatmap', 'config')\n"
+        "             if 'hapstack.' + m in sys.modules))\n"
+    )
+    src = str(Path(hapstack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
