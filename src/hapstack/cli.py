@@ -185,6 +185,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config_a = _parse_config_spec(args.config)
     config_b = _parse_config_spec(args.config_b)
     if args.mode == "latency":
+        positions = min(config_a.max_positions, config_b.max_positions)
+        if args.seq_len > positions:
+            raise CommandError(f"--seq-len {args.seq_len} exceeds max_positions {positions}",
+                               USAGE_ERROR)
         report_a, report_b, speedup = pipeline.bench_latency(
             config_a, config_b, n_runs=args.runs, n_seeds=args.seeds,
             seq_len=args.seq_len)

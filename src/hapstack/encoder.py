@@ -10,7 +10,7 @@ rational approximation, so the package needs numpy alone.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, groupby
 
@@ -25,6 +25,17 @@ INIT_DRAW_VALUES = 1 << 20
 # Additive bias on pad columns; large enough that float32 softmax assigns
 # them exactly zero mass.
 ATTENTION_MASK_BIAS = -1.0e9
+
+# The projection weights of every block but the last, held in F order
+# (transposed in memory) by ``weights_from_tensors``; see ``_project``.
+INNER_PROJECTIONS = ("q_weight", "k_weight", "v_weight", "out_weight",
+                     "ffn_up_weight", "ffn_down_weight")
+# Rows below which ``_project`` runs an F-ordered weight as (wᵀ·xᵀ)ᵀ. From
+# a sweep of cold piccolo weights (576×576, 576×768, 768×576) at 1 and 2
+# OpenBLAS threads: that form took 0.53-0.65x the time of x·w on the same
+# weight at 4 rows and 0.64-0.70x at 17, broke even at 96-144 rows and
+# was 1.3-1.7x slower at 512.
+TRANSPOSED_ROWS = 128
 
 ACTIVATIONS = ("gelu",)
 # Rows per gelu tile: a [64, intermediate] float32 block and the erf's
@@ -105,8 +116,9 @@ def bert_base_config(vocab_size: int, max_positions: int = 512) -> EncoderConfig
 
 @dataclass
 class LayerWeights:
-    """One transformer block. Projection weights are laid out [in, out]
-    and applied as ``x @ w + b``."""
+    """One transformer block. Projection weights are logically [in, out]
+    and applied as ``x @ w + b`` (``_project``), whatever their memory
+    order."""
 
     q_weight: np.ndarray
     q_bias: np.ndarray
@@ -202,13 +214,22 @@ def named_tensors(weights: ModelWeights, config: EncoderConfig) -> dict[str, np.
     return tensors
 
 
-def weights_from_tensors(tensors: dict[str, np.ndarray], config: EncoderConfig) -> ModelWeights:
-    """Inverse of ``named_tensors``; ``tensors`` must hold every name."""
+def weights_from_tensors(tensors: Iterable[tuple[str, np.ndarray]],
+                         config: EncoderConfig) -> ModelWeights:
+    """Inverse of ``named_tensors(...).items()``: ``tensors`` must yield
+    every name once, in any order. The ``INNER_PROJECTIONS`` of every block
+    but the last are held in F order, with the same logical [in, out]
+    shape, so ``_project`` streams them in contiguous runs; every other
+    tensor is kept as given. Each tensor is converted as it arrives, so a
+    caller that yields its tensors one at a time holds one unconverted
+    copy at a time."""
     top: dict[str, np.ndarray] = {}
     layers: list[dict[str, np.ndarray]] = [{} for _ in range(config.num_layers)]
-    for name in tensor_shapes(config):
+    for name, tensor in tensors:
         index, field = _locate(name)
-        (top if index is None else layers[index])[field] = tensors[name]
+        if index is not None and index < config.num_layers - 1 and field in INNER_PROJECTIONS:
+            tensor = np.asfortranarray(tensor)  # the original is freed here
+        (top if index is None else layers[index])[field] = tensor
     return ModelWeights(layers=[LayerWeights(**layer) for layer in layers], **top)
 
 
@@ -216,21 +237,24 @@ def init_random(config: EncoderConfig, seed: int) -> ModelWeights:
     """Deterministic random weights: N(0, 0.02) everywhere, layernorm
     gamma=1 / beta=0. Same (config, seed) always yields identical tensors:
     each is ``rng.normal(0.0, INIT_SCALE, size=shape).astype(np.float32)``,
-    drawn into its float32 array in chunks of the same stream."""
+    drawn into its float32 array in chunks of the same stream, and passed
+    to ``weights_from_tensors`` as soon as it is drawn."""
     rng = np.random.default_rng(seed)
-    tensors = {}
-    for name, shape in tensor_shapes(config).items():
+
+    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name.endswith("ln_gamma"):
-            tensors[name] = np.ones(shape, dtype=np.float32)
-        elif name.endswith("ln_beta"):
-            tensors[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            tensor = tensors[name] = np.empty(shape, dtype=np.float32)
-            flat = tensor.reshape(-1)
-            for start in range(0, flat.size, INIT_DRAW_VALUES):
-                part = flat[start:start + INIT_DRAW_VALUES]
-                part[...] = rng.normal(0.0, INIT_SCALE, size=part.size)
-    return weights_from_tensors(tensors, config)
+            return np.ones(shape, dtype=np.float32)
+        if name.endswith("ln_beta"):
+            return np.zeros(shape, dtype=np.float32)
+        drawn = np.empty(shape, dtype=np.float32)
+        flat = drawn.reshape(-1)
+        for start in range(0, flat.size, INIT_DRAW_VALUES):
+            part = flat[start:start + INIT_DRAW_VALUES]
+            part[...] = rng.normal(0.0, INIT_SCALE, size=part.size)
+        return drawn
+
+    return weights_from_tensors(((name, tensor(name, shape))
+                                 for name, shape in tensor_shapes(config).items()), config)
 
 
 def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
@@ -284,6 +308,17 @@ def _gelu_in_tiles(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` as a new C-ordered array. An F-ordered ``w`` (see
+    ``weights_from_tensors``) on 4 to ``TRANSPOSED_ROWS`` - 1 rows runs as
+    (wᵀ·xᵀ)ᵀ, copied back to C order: then ``w`` is the operand OpenBLAS
+    packs, and it streams in contiguous runs when it is not in cache. A
+    C-ordered ``w`` always runs as ``x @ w``."""
+    if not w.flags.c_contiguous and 4 <= len(x) < TRANSPOSED_ROWS:
+        return np.ascontiguousarray((w.T @ x.T).T)
+    return x @ w
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in ``x``'s own buffer (the max
     is subtracted, then exp and divide in place); returns ``x``."""
@@ -319,10 +354,10 @@ def _attention(x: np.ndarray, runs: Runs, layer: LayerWeights, config: EncoderCo
     list, each run's probabilities are appended to it.
     """
     heads, head_dim = config.num_heads, config.head_dim
-    q = x @ layer.q_weight
+    q = _project(x, layer.q_weight)
     q += layer.q_bias
-    k = x @ layer.k_weight
-    v = x @ layer.v_weight
+    k = _project(x, layer.k_weight)
+    v = _project(x, layer.v_weight)
     v += layer.v_bias
     context = np.empty_like(v)
     for rows, probs in _probabilities(q, k, runs, config):
@@ -373,13 +408,13 @@ def _block(x: np.ndarray, context: np.ndarray, layer: LayerWeights, eps: float) 
     """The rest of a block, given its attention ``context``: the output
     projection, the FFN and both post-layernorms. Biases and residuals are
     added in place on the temporaries this function owns."""
-    y = context @ layer.out_weight
+    y = _project(context, layer.out_weight)
     y += layer.out_bias
     y += x
     x = _layernorm(y, layer.attn_ln_gamma, layer.attn_ln_beta, eps)
-    y = x @ layer.ffn_up_weight
+    y = _project(x, layer.ffn_up_weight)
     y += layer.ffn_up_bias
-    y = _gelu_in_tiles(y) @ layer.ffn_down_weight
+    y = _project(_gelu_in_tiles(y), layer.ffn_down_weight)
     y += layer.ffn_down_bias
     y += x
     return _layernorm(y, layer.ffn_ln_gamma, layer.ffn_ln_beta, eps)

@@ -10,7 +10,9 @@ models always serialize to byte-identical files.
 
 Loading checks every section length against the file size before reading
 it, then the table and the exact file size, all before it allocates a
-tensor; each tensor is then read straight into its own aligned array.
+tensor; each tensor is then read straight into its own aligned array and
+handed to ``weights_from_tensors``, which holds the inner blocks'
+projection weights transposed in memory (one copy each).
 """
 
 from __future__ import annotations
@@ -110,16 +112,15 @@ def save_bundle(config: EncoderConfig, weights: ModelWeights, vocab: Vocabulary,
                 f"tensor {name} has shape {arr.shape}, expected {tuple(dims)}")
         # Checked as stored: a finite value beyond float32's range casts to inf.
         with np.errstate(over="ignore"):
-            tensors[name] = np.ascontiguousarray(arr, dtype="<f4")
-        _check_values(name, tensors[name])
+            _check_values(name, arr.astype("<f4", copy=False))
 
     sections = [text.encode("utf-8") for text in (  # encoding may fail, so before open
         json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":")),
         "\n".join(vocab.tokens), json.dumps(table, separators=(",", ":")))]
     with open(path, "wb") as dst:
         dst.write(MAGIC + b"".join(struct.pack("<I", len(s)) + s for s in sections))
-        for name, _, _, _ in table:
-            dst.write(tensors[name])
+        for name, _, _, _ in table:  # one row-major float32 copy alive at a time
+            dst.write(np.ascontiguousarray(tensors[name], dtype="<f4"))
 
 
 def load_bundle(path: str | Path) -> LoadedModel:
@@ -178,13 +179,13 @@ def load_bundle(path: str | Path) -> LoadedModel:
             error = TruncatedBundleError if status.st_size < end else BundleError
             raise error(f"bundle holds {status.st_size} bytes, its table declares {end}")
 
-        tensors: dict[str, np.ndarray] = {}
-        for name, _, dims, _ in layout:
+        def read_tensor(name: str, dims: list[int]) -> np.ndarray:
             arr = np.empty(dims, dtype="<f4")
             if src.readinto(arr) != arr.nbytes:
                 raise TruncatedBundleError(f"bundle truncated while reading tensor {name}")
             _check_values(name, arr)
-            tensors[name] = arr
+            return arr
 
-    return LoadedModel(config=config, weights=weights_from_tensors(tensors, config),
-                       vocab=vocab)
+        weights = weights_from_tensors(((name, read_tensor(name, dims))
+                                        for name, _, dims, _ in layout), config)
+    return LoadedModel(config=config, weights=weights, vocab=vocab)

@@ -450,10 +450,12 @@ def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
         raise ValueError("n_runs must be >= 10")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    if seq_len > min(config_a.max_positions, config_b.max_positions):
+        raise ValueError(f"seq_len {seq_len} exceeds a config's max_positions")
 
     def timer(config: EncoderConfig, seed: int) -> Callable[[], float]:
         ids = np.random.default_rng(seed + 1).integers(
-            0, config.vocab_size, size=min(seq_len, config.max_positions)).tolist()
+            0, config.vocab_size, size=seq_len).tolist()
         seq = TokenizedSequence(ids=ids, attention_mask=[1] * len(ids), word_spans=[],
                                 pieces=[], words=[])
         weights = init_random(config, seed)

@@ -76,8 +76,8 @@ def write_spread_bundle(source, path):
     a tiny random model scores every sentence within 1e-5 of 0.502, which
     would hide a misplaced row. Returns ``path``."""
     config, weights, vocab = model_io.load_bundle(source)
-    tensors = {name: arr if "_ln_" in name else arr * 30
-               for name, arr in named_tensors(weights, config).items()}
+    tensors = ((name, arr if "_ln_" in name else arr * 30)
+               for name, arr in named_tensors(weights, config).items())
     model_io.save_bundle(config, weights_from_tensors(tensors, config), vocab, path)
     return path
 

@@ -517,6 +517,19 @@ class TestBench:
         assert lines[0] == lines[5] == "model=2x2x8x16"
         assert lines[1] == lines[6] == "architecture=2,2,8,16"
 
+    @pytest.mark.parametrize("side", ["--config", "--config-b"])
+    def test_seq_len_beyond_either_configs_positions_is_a_usage_error(self, side, monkeypatch,
+                                                                     capsys):
+        # TINY_SPEC holds 64 positions; the other side holds 512.
+        monkeypatch.setattr(pipeline, "bench_latency", None)
+        other = "--config-b" if side == "--config" else "--config"
+        code, captured = run_cli(["bench", side, TINY_SPEC, other, "2,2,8,16,256,512",
+                                  "--seq-len", "65"], capsys=capsys)
+        assert code == 2
+        assert captured.out == ""
+        assert "--seq-len 65 exceeds max_positions 64" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_throughput_requires_corpus(self, capsys):
         code = main(["bench", "--mode", "throughput", "--config", TINY_SPEC,
                      "--config-b", TINY_SPEC])

@@ -1,5 +1,6 @@
 """Encoder tests: shapes, determinism, masking, and the scalar-loop oracle."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hapstack
-from hapstack import encoder
+from hapstack import encoder, pipeline
 from hapstack.encoder import (
     ATTENTION_MASK_BIAS,
     EncoderConfig,
@@ -96,16 +97,22 @@ class TestInitRandom:
                 assert tensor.dtype == np.float32
 
     def test_peak_memory_is_one_float32_model(self):
-        config = EncoderConfig(num_layers=1, num_heads=2, hidden_size=64,
-                               intermediate_size=128, vocab_size=200000)
-        tracemalloc.start()
-        try:
-            weights = init_random(config, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        model = sum(t.nbytes for t in named_tensors(weights, config).values())
-        assert peak <= model + 16 * 2**20, f"peak {peak / 2**20:.1f} MiB, model {model / 2**20:.1f}"
+        # 16 MiB covers one float64 draw (8 MiB) and one tensor before its
+        # F-ordered copy is made; the 3-layer model's two inner blocks hold
+        # 16 MiB of projections, which would show if their originals stayed.
+        for config in (EncoderConfig(num_layers=1, num_heads=2, hidden_size=64,
+                                     intermediate_size=128, vocab_size=200000),
+                       EncoderConfig(num_layers=3, num_heads=4, hidden_size=512,
+                                     intermediate_size=1024, vocab_size=1000)):
+            tracemalloc.start()
+            try:
+                weights = init_random(config, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            model = sum(t.nbytes for t in named_tensors(weights, config).values())
+            assert peak <= model + 16 * 2**20, (
+                f"peak {peak / 2**20:.1f} MiB, model {model / 2**20:.1f}")
 
 
 class TestForward:
@@ -454,6 +461,83 @@ class TestPackedLogits:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def c_ordered(weights):
+    """``weights`` with every tensor in C order, as the forward held them
+    before ``weights_from_tensors`` transposed the inner projections."""
+    return dataclasses.replace(weights, layers=[
+        dataclasses.replace(layer, **{field: np.ascontiguousarray(getattr(layer, field))
+                                      for field in encoder.INNER_PROJECTIONS})
+        for layer in weights.layers])
+
+
+@pytest.fixture
+def blas_threads():
+    """Yields a function that pins OpenBLAS to ``n`` threads (a no-op without
+    OpenBLAS); the count is restored afterwards."""
+    blas = pipeline._openblas()
+    if blas is None:
+        yield lambda n: None
+        return
+    set_threads, get_threads, _ = blas
+    saved = get_threads()
+    try:
+        yield set_threads
+    finally:
+        set_threads(saved)
+
+
+class TestMemoryOrder:
+    """The F-ordered inner projections give the bits of the C-ordered model
+    wherever a forward runs 4 or more rows: ``x @ w`` and (wᵀ·xᵀ)ᵀ take the
+    same products in the same order on either side of ``TRANSPOSED_ROWS``."""
+
+    def test_logits_and_attentions_equal_the_c_ordered_model(self, blas_threads):
+        config = piccolo_config(1000)
+        weights = scaled_weights(config, 8, scale=3.0)
+        reference = c_ordered(weights)
+        assert not weights.layers[0].q_weight.flags.c_contiguous
+        assert weights.layers[-1].q_weight.flags.c_contiguous
+        rng = np.random.default_rng(8)
+        crossover = encoder.TRANSPOSED_ROWS
+        cases = [rng.integers(4, 41, size=rng.integers(1, 10)).tolist() for _ in range(5)]
+        cases += [[n] for n in (crossover - 1, crossover, crossover + 1, 512)]
+        cases += [[40, 40, 40, n - 120] for n in (crossover - 1, crossover, crossover + 1)]
+        for threads in (1, 2):
+            blas_threads(threads)
+            for lengths in cases:
+                seqs = [make_seq(rng.integers(4, 1000, size=n).tolist()) for n in lengths]
+                np.testing.assert_array_equal(packed_logits(seqs, weights, config),
+                                              packed_logits(seqs, reference, config))
+                t = max(lengths)
+                padded = [make_seq(seq.ids + [0] * (t - n), [1] * n + [0] * (t - n))
+                          for seq, n in zip(seqs, lengths)]
+                for got, want in zip(forward_batch(padded, weights, config),
+                                     forward_batch(padded, reference, config)):
+                    np.testing.assert_array_equal(got.logits, want.logits)
+                    for got_probs, want_probs in zip(got.attentions, want.attentions,
+                                                      strict=True):
+                        np.testing.assert_array_equal(got_probs, want_probs)
+
+    def test_three_rows_or_fewer_agree_within_matmul_noise(self, blas_threads):
+        # Below 4 rows OpenBLAS's bits depend on the weight's memory order.
+        config = piccolo_config(1000)
+        weights = init_random(config, 9)
+        reference = c_ordered(weights)
+        rng = np.random.default_rng(9)
+        for threads in (1, 2):
+            blas_threads(threads)
+            for n in (1, 2, 3):
+                seq = make_seq(rng.integers(4, 1000, size=n).tolist())
+                got, want = (forward_batch([seq], model, config)[0]
+                             for model in (weights, reference))
+                np.testing.assert_allclose(got.logits, want.logits, rtol=0, atol=1e-6)
+                np.testing.assert_allclose(packed_logits([seq], weights, config),
+                                           packed_logits([seq], reference, config),
+                                           rtol=0, atol=1e-6)
+                for got_probs, want_probs in zip(got.attentions, want.attentions):
+                    np.testing.assert_allclose(got_probs, want_probs, rtol=0, atol=1e-6)
 
 
 class TestElementwiseStages:

@@ -1,5 +1,6 @@
 """Bundle serialization: round-trips, canonical bytes, corruption handling."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hapstack.encoder import (
+    INNER_PROJECTIONS,
     EncoderConfig,
     init_random,
     named_tensors,
@@ -73,13 +75,20 @@ def test_round_trip_bitwise(tmp_path):
 def test_loaded_tensors_are_aligned_writable_float32(tmp_path):
     # The payload starts at an arbitrary byte offset; tensors must not be
     # unaligned views of it (numpy's matmul is many times slower on those).
+    # The projection weights of every block but the last are held in F
+    # order, every other tensor in C order, from a load and from init_random.
     vocab = Vocabulary(TINY_TOKENS)
-    config = small_config(len(vocab))
+    config = dataclasses.replace(small_config(len(vocab)), num_layers=3)
     path = tmp_path / "model.hap"
     save_bundle(config, init_random(config, 7), vocab, path)
-    for name, arr in named_tensors(load_bundle(path).weights, config).items():
-        assert arr.dtype == np.float32, name
-        assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable, name
+    for weights in (load_bundle(path).weights, init_random(config, 7)):
+        for name, arr in named_tensors(weights, config).items():
+            index, field = name.split(".")[1:] if name.startswith("layer.") else (None, name)
+            inner = index is not None and int(index) < 2 and field in INNER_PROJECTIONS
+            assert arr.dtype == np.float32, name
+            assert arr.flags.aligned and arr.flags.owndata and arr.flags.writeable, name
+            assert arr.ndim == 1 or (arr.flags.f_contiguous, arr.flags.c_contiguous) == (
+                inner, not inner), name
 
 
 def test_saves_are_byte_identical(tmp_path):
@@ -89,8 +98,8 @@ def test_saves_are_byte_identical(tmp_path):
     p1, p2, p3 = tmp_path / "a.hap", tmp_path / "b.hap", tmp_path / "float64.hap"
     save_bundle(config, weights, vocab, p1)
     save_bundle(config, weights, vocab, p2)
-    wide = weights_from_tensors({name: arr.astype(np.float64) for name, arr
-                                 in named_tensors(weights, config).items()}, config)
+    wide = weights_from_tensors(((name, arr.astype(np.float64)) for name, arr
+                                 in named_tensors(weights, config).items()), config)
     save_bundle(config, wide, vocab, p3)
     assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
@@ -405,6 +414,35 @@ def test_load_reads_tensors_in_place(tmp_path):
         tracemalloc.stop()
     assert loaded.config == config
     assert peak - kept < size / 2, f"load peak {peak - kept} B beyond the model, file {size} B"
+
+
+def test_save_and_load_hold_one_extra_tensor_at_a_time(tmp_path):
+    # Two inner blocks hold 4 MiB of F-ordered projections, each written
+    # through a row-major copy and read through one, against a largest
+    # tensor of 512 KiB: holding every copy at once would show.
+    config = EncoderConfig(num_layers=3, num_heads=4, hidden_size=256, intermediate_size=512,
+                           vocab_size=64, max_positions=16)
+    weights = init_random(config, 0)
+    tensors = named_tensors(weights, config).values()
+    model = sum(arr.nbytes for arr in tensors)
+    largest = max(arr.nbytes for arr in tensors)
+    path = tmp_path / "model.hap"
+    tracemalloc.start()
+    try:
+        save_bundle(config, weights, build_ascii_vocab(64), path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kept_before = tracemalloc.get_traced_memory()[0]
+        loaded = load_bundle(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - kept_before
+    finally:
+        tracemalloc.stop()
+    assert_weights_equal(weights, loaded.weights)
+    slack = 64 * 1024  # header sections, table and vocab
+    assert save_peak <= largest + slack, f"save peak {save_peak} B, largest tensor {largest} B"
+    # The finiteness check's temporary is one byte per value.
+    bound = model + largest + largest // 4 + slack
+    assert load_peak <= bound, f"load peak {load_peak} B, model {model} B, largest {largest} B"
 
 
 def test_huge_section_length_allocates_nothing(tmp_path):

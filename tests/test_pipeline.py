@@ -1,6 +1,7 @@
 """Pipeline tests: splitting, scoring, filtering, corpus runs, benches."""
 
 import contextlib
+import dataclasses
 import ctypes
 import logging
 import math
@@ -849,6 +850,11 @@ class TestBenchLatency:
     def test_run_count_validated(self, tiny_config):
         with pytest.raises(ValueError):
             bench_latency(tiny_config, tiny_config, n_runs=5, n_seeds=1)
+
+    def test_seq_len_beyond_a_configs_positions_refused(self, tiny_config):
+        shorter = dataclasses.replace(tiny_config, max_positions=32)
+        with pytest.raises(ValueError, match="max_positions"):
+            bench_latency(tiny_config, shorter, n_runs=10, n_seeds=1, seq_len=33)
 
     def test_bigger_model_is_slower(self):
         small = EncoderConfig(num_layers=1, num_heads=2, hidden_size=32,
