@@ -196,7 +196,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not args.corpus:
             raise CommandError("--corpus is required for throughput mode", USAGE_ERROR)
         report_a, report_b, speedup = pipeline.bench_throughput(
-            args.corpus, config_a, config_b, batch_size=args.batch_size, seed=args.seed)
+            args.corpus, config_a, config_b, batch_size=args.batch_size)
     lines = _format_bench_report(report_a) + _format_bench_report(report_b)
     lines.append(f"speedup={speedup:.4f}")
     _write_lines(lines)
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus file for throughput mode")
     p.add_argument("--batch-size", type=POSITIVE_INT, default=32,
                    help="most sentences per encoder call in throughput mode (default 32)")
-    p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("init-random", help="write a randomly initialized model bundle")

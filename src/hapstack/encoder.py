@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, groupby
 
 import numpy as np
@@ -530,5 +530,7 @@ def packed_logits(seqs: list[TokenizedSequence], weights: ModelWeights,
 
 
 def count_parameters(config: EncoderConfig) -> int:
-    """Exact learned-scalar count of the ``tensor_shapes`` tensors."""
-    return sum(math.prod(shape) for shape in tensor_shapes(config).values())
+    """Exact learned-scalar count of the ``tensor_shapes`` tensors, in time
+    independent of ``num_layers``: one layer's tensors scaled by it."""
+    return sum(math.prod(shape) * (config.num_layers if name.startswith("layer.") else 1)
+               for name, shape in tensor_shapes(replace(config, num_layers=1)).items())

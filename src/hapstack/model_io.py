@@ -8,11 +8,13 @@ and the payload contiguous little-endian float32 data in table order.
 ``_layout`` states that table; the loader accepts no other. Identical
 models always serialize to byte-identical files.
 
-Loading checks every section length against the file size before reading
-it, then the table and the exact file size, all before it allocates a
-tensor; each tensor is then read straight into its own aligned array and
-handed to ``weights_from_tensors``, which holds the inner blocks'
-projection weights transposed in memory (one copy each).
+Loading refuses a path that is not a regular file before anything can
+block, checks every section length against the file size before reading
+it, parses the sections, then checks the exact file size the config
+implies (``count_parameters``) and then the table, all before it
+allocates a tensor; each tensor is then read straight into its own
+aligned array and handed to ``weights_from_tensors``, which holds the
+inner blocks' projection weights transposed in memory (one copy each).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import (EncoderConfig, ModelWeights, named_tensors, tensor_shapes,
-                      weights_from_tensors)
-from .wordpiece import Vocabulary, VocabularyError
+from .encoder import (EncoderConfig, ModelWeights, count_parameters, named_tensors,
+                      tensor_shapes, weights_from_tensors)
+from .wordpiece import Vocabulary
 
 MAGIC = b"HAP1"
 # Largest weight magnitude a bundle may hold. init_random draws stay below
@@ -125,7 +127,9 @@ def save_bundle(config: EncoderConfig, weights: ModelWeights, vocab: Vocabulary,
 
 def load_bundle(path: str | Path) -> LoadedModel:
     """Read and fully validate a HAP1 bundle from a regular file."""
-    with open(path, "rb") as src:
+    # Opened without blocking, so a FIFO with no writer is refused, not waited on.
+    flags = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags), "rb") as src:
         status = os.fstat(src.fileno())
         if not stat.S_ISREG(status.st_mode):
             raise BundleError(f"{path} is not a regular file")
@@ -138,46 +142,32 @@ def load_bundle(path: str | Path) -> LoadedModel:
         magic = read(4, "magic")
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        sections = {}
-        for section in ("config", "vocab", "table"):
+        parsers = {"config": lambda text: EncoderConfig(**json.loads(text)),
+                   "vocab": lambda text: Vocabulary(tuple(text.split("\n")) if text else ()),
+                   "table": json.loads}
+        parsed = []
+        for section, parse in parsers.items():
             (length,) = struct.unpack("<I", read(4, f"{section} length"))
-            sections[section] = read(length, section)
-
-        try:
-            config = EncoderConfig(**json.loads(sections["config"].decode("utf-8")))
-        except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise BundleError(f"invalid config record: {exc}") from exc
-
-        try:
-            vocab_text = sections["vocab"].decode("utf-8")
-            vocab = Vocabulary(tuple(vocab_text.split("\n")) if vocab_text else ())
-        except (UnicodeDecodeError, VocabularyError) as exc:
-            raise BundleError(f"invalid vocab block: {exc}") from exc
+            raw = read(length, section)
+            try:  # RecursionError: JSON nested too deep
+                parsed.append(parse(raw.decode("utf-8")))
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise BundleError(f"invalid {section}: {exc}") from exc
+        config, vocab, table = parsed
         _check_vocab_size(vocab, config)
 
-        try:
-            table = json.loads(sections["table"].decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise BundleError(f"invalid tensor table: {exc}") from exc
-        # The table is O(layers): a layer count the file cannot hold fails first.
-        one_layer = tensor_shapes(dataclasses.replace(config, num_layers=1))
-        layer_bytes = 4 * sum(prod(shape) for name, shape in one_layer.items()
-                              if name.startswith("layer."))
-        if config.num_layers * layer_bytes > status.st_size:
-            raise TruncatedBundleError(f"bundle holds {status.st_size} bytes, too few for "
-                                       f"{config.num_layers} layers")
+        # Checked before the table is built, which takes time in the layer count.
+        end = src.tell() + 4 * count_parameters(config)
+        if status.st_size != end:
+            error = TruncatedBundleError if status.st_size < end else BundleError
+            raise error(f"bundle holds {status.st_size} bytes, {config.num_layers} layers "
+                        f"of its config need {end}")
         layout = _layout(config)
         if table != layout:
             entries = table if isinstance(table, list) else [table]
             index, got, want = next((i, got, want) for i, (got, want)
                                     in enumerate(zip_longest(entries, layout)) if got != want)
             raise ShapeMismatchError(f"tensor table entry {index} is {got}, expected {want}")
-
-        _, _, dims, offset = layout[-1]
-        end = src.tell() + offset + 4 * prod(dims)
-        if status.st_size != end:
-            error = TruncatedBundleError if status.st_size < end else BundleError
-            raise error(f"bundle holds {status.st_size} bytes, its table declares {end}")
 
         def read_tensor(name: str, dims: list[int]) -> np.ndarray:
             arr = np.empty(dims, dtype="<f4")

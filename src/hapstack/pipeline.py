@@ -255,11 +255,10 @@ def score_sentences(sentences: list[str], model: LoadedModel, batch_size: int,
     def run(task: list[int]) -> np.ndarray:
         return packed_logits([seqs[i] for i in task], weights, config)
 
-    scores: list[HapScore | None] = [None] * len(seqs)
-    for task, logits in zip(tasks, pool.map(run, tasks) if pool else map(run, tasks)):
-        for i, row in zip(task, logits):
-            scores[i] = softmax_pair(row)
-    return [scores[slot] for slot in slots]  # type: ignore[misc]
+    logits = np.empty((len(seqs), 2), dtype=np.float32)
+    for task, rows in zip(tasks, pool.map(run, tasks) if pool else map(run, tasks)):
+        logits[task] = rows
+    return [softmax_pair(logits[slot]) for slot in slots]
 
 
 def decide_from_scores(hap_scores: list[float], hap_threshold: float,
@@ -479,14 +478,16 @@ def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
 
 
 def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
-                     config_b: EncoderConfig, batch_size: int = 32,
-                     seed: int = 0) -> tuple[BenchReport, BenchReport, float]:
+                     config_b: EncoderConfig,
+                     batch_size: int = 32) -> tuple[BenchReport, BenchReport, float]:
     """Time ``run_corpus`` under two architectures with identical settings.
 
     Both models are built first. The corpus then runs in A/B/B/A groups
     (see ``_interleaved``) until each side has run for
     ``BENCH_THROUGHPUT_MIN_S`` seconds, so each side runs at least twice.
-    Decision files go to a temporary directory. A side reports its median
+    Weights are ``init_random(config, 0)``: the timed work depends on
+    token ids and shapes, not on weight values, and decision files go to
+    a temporary directory that is deleted. A side reports its median
     wall time (``mean_latency_ms``), the stddev over its runs and the
     docs/s at that median. Speedup is larger-model median over
     smaller-model median.
@@ -497,7 +498,7 @@ def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
     summaries: list[CorpusSummary] = []
 
     def timer(config: EncoderConfig, out_path: Path) -> Callable[[], float]:
-        model = LoadedModel(config, init_random(config, seed), build_ascii_vocab(config.vocab_size))
+        model = LoadedModel(config, init_random(config, 0), build_ascii_vocab(config.vocab_size))
 
         def run() -> float:
             summaries.append(run_corpus(corpus_path, out_path, model, run_config))

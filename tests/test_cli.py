@@ -42,6 +42,12 @@ def spread(bundle, tmp_path):
     return write_spread_bundle(bundle, tmp_path / "spread.hap")
 
 
+def subprocess_env():
+    """The environment of a CLI subprocess that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
     if monkeypatch is not None:
         # A byte stream under a text layer, like the real stdin: the CLI
@@ -91,8 +97,7 @@ class TestScore:
         src, lexicon = tmp_path / "in.txt", tmp_path / "lexicon.txt"
         src.write_bytes(data)
         lexicon.write_bytes(b"na\xc3\xafve\n")
-        env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(
-            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env = dict(subprocess_env(), LC_ALL="C")
         env.pop("PYTHONIOENCODING", None)
         env.pop("PYTHONUTF8", None)
         flags = {"score": ["-m", str(bundle)],
@@ -253,6 +258,25 @@ class TestScore:
         assert code == 2
         assert captured.out == ""
         assert "cannot load model" in captured.err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    @pytest.mark.parametrize("argv", [
+        ["score"], ["heatmap"], ["sample", "--mine"],
+        ["filter", "--input", "in.tsv", "--output", "out.tsv"],
+        ["rescore", "--input", "in.tsv"],  # no preset non_hap, so the model loads
+    ], ids=lambda argv: argv[0])
+    def test_fifo_model_exits_2_without_waiting(self, tmp_path, argv):
+        # With no writer, a blocking open of a FIFO waits for one; the
+        # timeout fails such a loader instead of hanging the suite.
+        os.mkfifo(tmp_path / "model.hap")
+        (tmp_path / "in.tsv").write_bytes(b"-0.5\tsome words.\n")
+        done = subprocess.run([sys.executable, "-m", "hapstack.cli", *argv, "-m", "model.hap"],
+                              input=b"a few words.\n", cwd=tmp_path, env=subprocess_env(),
+                              capture_output=True, timeout=10)
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert b"cannot load model model.hap: model.hap is not a regular file" in done.stderr
+        assert b"Traceback" not in done.stderr
 
 
 class TestStreamingDrivers:
@@ -554,8 +578,6 @@ class TestOutOfRangeFlags:
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--batch-size", "0"),
         (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--runs", "5"),
         (["sample", "--lexicon", "lexicon.txt"], "--target-size", "1"),
-        (["bench", "--mode", "throughput", "--config", TINY_SPEC, "--config-b", TINY_SPEC],
-         "--seed", "-1"),
         (["init-random", "--config", TINY_SPEC, "--output", "x.hap"], "--seed", "-1"),
     ], ids=lambda arg: arg[0] if isinstance(arg, list) else arg)
     def test_usage_error_before_the_model_loads(self, command, flag, value, bundle,

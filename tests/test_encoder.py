@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -679,6 +680,31 @@ class TestCountParameters:
                 "ffn_up_weight", "ffn_up_bias", "ffn_down_weight", "ffn_down_bias",
                 "ffn_ln_gamma", "ffn_ln_beta"))
         assert count_parameters(tiny_config) == total
+
+    @settings(max_examples=50, deadline=None)
+    @given(heads=st.integers(1, 4), head_dim=st.integers(1, 8), data=st.data())
+    def test_property_equals_the_tensor_shapes_sum(self, heads, head_dim, data):
+        config = EncoderConfig(num_layers=data.draw(st.integers(1, 6), label="layers"),
+                               num_heads=heads, hidden_size=heads * head_dim,
+                               intermediate_size=data.draw(st.integers(1, 64), label="inter"),
+                               vocab_size=data.draw(st.integers(1, 300), label="vocab"),
+                               max_positions=data.draw(st.integers(2, 600), label="positions"))
+        assert count_parameters(config) == sum(
+            math.prod(shape) for shape in encoder.tensor_shapes(config).values())
+
+    def test_huge_layer_count_builds_no_table(self, tiny_config):
+        # A table of 10**9 layers would hold 1.6e10 entries: only tables of
+        # at most two layers may be built, and the count scales exactly.
+        shapes = encoder.tensor_shapes
+
+        def small_tables_only(config):
+            assert config.num_layers <= 2, f"a table of {config.num_layers} layers"
+            return shapes(config)
+
+        with mock.patch.object(encoder, "tensor_shapes", small_tables_only):
+            one, two, huge = (count_parameters(dataclasses.replace(tiny_config, num_layers=n))
+                              for n in (1, 2, 10**9))
+        assert huge == one + (10**9 - 1) * (two - one)
 
 
 class TestConfigValidation:

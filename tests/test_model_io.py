@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
 import struct
 import tracemalloc
 import warnings
@@ -475,6 +477,26 @@ def test_huge_layer_count_refused_before_the_table(tmp_path):
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert "10000 layers" in str(refused.value)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_fifo_refused_without_waiting(tmp_path):
+    # With no writer, a blocking open of a FIFO waits for one; the alarm
+    # fails such a loader instead of hanging the suite.
+    path = tmp_path / "model.hap"
+    os.mkfifo(path)
+
+    def expire(signum, frame):
+        raise TimeoutError("load_bundle waited for a FIFO writer")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        with pytest.raises(BundleError, match="not a regular file"):
+            load_bundle(path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 FAILED_SAVE_TENSOR = {"nan": "ffn_up_weight", "shape": "token_embedding",
