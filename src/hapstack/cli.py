@@ -167,39 +167,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_bench_report(report: pipeline.BenchReport) -> list[str]:
-    dims = [str(d) for d in report.architecture]
-    lines = [
-        f"model={'x'.join(dims)}",
-        f"architecture={','.join(dims)}",
-        f"mean_latency_ms={report.mean_latency_ms:.4f}",
-        f"stddev_ms={report.stddev_ms:.4f}",
-        f"seeds={report.seeds}",
-    ]
-    if report.throughput_docs_per_s is not None:
-        lines.append(f"docs_per_s={report.throughput_docs_per_s:.3f}")
-    return lines
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    config_a = _parse_config_spec(args.config)
-    config_b = _parse_config_spec(args.config_b)
-    if args.mode == "latency":
-        positions = min(config_a.max_positions, config_b.max_positions)
-        if args.seq_len > positions:
-            raise CommandError(f"--seq-len {args.seq_len} exceeds max_positions {positions}",
-                               USAGE_ERROR)
-        report_a, report_b, speedup = pipeline.bench_latency(
-            config_a, config_b, n_runs=args.runs, n_seeds=args.seeds,
-            seq_len=args.seq_len)
-    else:
-        if not args.corpus:
-            raise CommandError("--corpus is required for throughput mode", USAGE_ERROR)
-        report_a, report_b, speedup = pipeline.bench_throughput(
-            args.corpus, config_a, config_b, batch_size=args.batch_size)
-    lines = _format_bench_report(report_a) + _format_bench_report(report_b)
-    lines.append(f"speedup={speedup:.4f}")
-    _write_lines(lines)
+    configs = _parse_config_spec(args.config), _parse_config_spec(args.config_b)
+    positions = min(config.max_positions for config in configs)
+    if positions < pipeline.BENCH_SEQ_LEN:
+        raise CommandError(f"bench needs max_positions >= {pipeline.BENCH_SEQ_LEN}, "
+                           f"got {positions}", USAGE_ERROR)
+    report_a, report_b, speedup = pipeline.bench(*configs, args.corpus)
+    _write_lines(report_a.to_lines() + report_b.to_lines() + [f"speedup={speedup:.4f}"])
     return 0
 
 
@@ -288,17 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_in_range(int, 0), default=100)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("bench", help="latency/throughput comparison of two architectures")
-    p.add_argument("--mode", choices=("latency", "throughput"), default="latency")
+    p = sub.add_parser("bench", help="time two architectures on one sentence or a --corpus")
     p.add_argument("--config", required=True,
                    help="layers,heads,hidden,intermediate,vocab,positions")
     p.add_argument("--config-b", required=True, help="second architecture, same format")
-    p.add_argument("--runs", type=_in_range(int, 10), default=100)
-    p.add_argument("--seeds", type=POSITIVE_INT, default=5)
-    p.add_argument("--seq-len", type=POSITIVE_INT, default=32)
-    p.add_argument("--corpus", help="corpus file for throughput mode")
-    p.add_argument("--batch-size", type=POSITIVE_INT, default=32,
-                   help="most sentences per encoder call in throughput mode (default 32)")
+    p.add_argument("--corpus", help="corpus file to filter in place of one sentence")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("init-random", help="write a randomly initialized model bundle")

@@ -1,4 +1,4 @@
-"""End-to-end scoring, document filtering and benchmark harnesses.
+"""End-to-end scoring, document filtering and the A/B bench.
 
 Documents are split into sentences, each sentence scored with a softmax
 over the classifier's two logits (index 1 = HAP), and a document is
@@ -42,10 +42,11 @@ logger = logging.getLogger(__name__)
 
 # Sentences break at LF and between a terminator and the whitespace after it.
 SENTENCE_BREAK = re.compile(r"\n|(?<=[.!?])(?=\s)")
-BENCH_WARMUP_RUNS = 3
-# bench_throughput repeats A/B/B/A runs until each side has run this long,
-# so a short corpus is timed many times and a long one twice.
-BENCH_THROUGHPUT_MIN_S = 2.0
+# bench times sentences of this many tokens without a corpus.
+BENCH_SEQ_LEN = 32
+# bench repeats A/B/B/A groups until the slower side has run this long, so
+# a fast operation is timed many times and a slow one twice per side.
+BENCH_MIN_S = 2.0
 MALFORMED_LINES_REPORTED = 5
 # score_windows scores a window once it holds this many sentences: enough
 # for tasks across documents or lines, small enough that memory stays flat.
@@ -101,10 +102,23 @@ class FilterDecision:
 @dataclass
 class BenchReport:
     architecture: tuple[int, int, int, int]
-    mean_latency_ms: float
+    median_ms: float
     stddev_ms: float
-    seeds: int
-    throughput_docs_per_s: float | None = None
+    runs: int
+    docs_per_s: float | None = None
+
+    def to_lines(self) -> list[str]:
+        dims = [str(d) for d in self.architecture]
+        lines = [
+            f"model={'x'.join(dims)}",
+            f"architecture={','.join(dims)}",
+            f"median_ms={self.median_ms:.4f}",
+            f"stddev_ms={self.stddev_ms:.4f}",
+            f"runs={self.runs}",
+        ]
+        if self.docs_per_s is not None:
+            lines.append(f"docs_per_s={self.docs_per_s:.3f}")
+        return lines
 
 
 @dataclass
@@ -293,11 +307,16 @@ def filter_document(doc: Document, model: LoadedModel, hap_threshold: float,
 
 
 def unescape_text(text: str) -> str:
-    """Undo the corpus format's LF escaping."""
+    """Undo the corpus format's LF escaping: each ``\\n`` becomes a line
+    break. A backslash is not escaped, so a literal backslash before ``n``
+    also reads back as a line break: ``Saved to C:\\new folder.`` becomes
+    the two sentences ``Saved to C:`` and ``ew folder.``."""
     return text.replace("\\n", "\n")
 
 
 def escape_text(text: str) -> str:
+    """Escape each LF as ``\\n``, the corpus format's only escape; see
+    ``unescape_text`` for the backslash it leaves as it is."""
     return text.replace("\n", "\\n")
 
 
@@ -419,95 +438,52 @@ def _interleaved(timers: tuple[Callable[[], float], Callable[[], float]],
     return times
 
 
-def _compare(configs: tuple[EncoderConfig, EncoderConfig], centres_ms: list[float],
-             spreads_ms: list[float], seeds: int,
-             docs: int | None = None) -> tuple[BenchReport, BenchReport, float]:
-    """Both sides' reports, with docs/s at the centre time when ``docs`` is given, and
-    the speedup: the larger model's time over the smaller's, by parameter count."""
-    report_a, report_b = (
-        BenchReport(config.architecture, centre, spread, seeds,
-                    None if docs is None else docs * 1000.0 / centre)
-        for config, centre, spread in zip(configs, centres_ms, spreads_ms))
-    small, large = sorted((0, 1), key=lambda side: count_parameters(configs[side]))
-    return report_a, report_b, centres_ms[large] / centres_ms[small]
+def bench(config_a: EncoderConfig, config_b: EncoderConfig,
+          corpus_path: str | Path | None = None) -> tuple[BenchReport, BenchReport, float]:
+    """Time one model per side, ``init_random(config, 0)``: the timed work
+    depends on shapes, not on weight values.
 
-
-def bench_latency(config_a: EncoderConfig, config_b: EncoderConfig,
-                  n_runs: int = 100, n_seeds: int = 5,
-                  seq_len: int = 32) -> tuple[BenchReport, BenchReport, float]:
-    """Single-sentence latency comparison of ``packed_logits``, the scoring
-    forward, on a monotonic clock.
-
-    Per seed: fresh random weights and a random unpadded sequence for each
-    side, 3 untimed warm-up runs each, then ``n_runs`` timed forwards per
-    side in A/B/B/A groups (see ``_interleaved``), so an odd ``n_runs`` is
-    rounded up to the next even count. A side's mean and stddev are taken
-    over its per-seed median times. Speedup is larger-model mean over
-    smaller-model mean.
+    Without a corpus a run is one ``packed_logits`` forward of a
+    ``BENCH_SEQ_LEN``-token sentence, the forward ``score`` runs; with one,
+    it is ``run_corpus`` under ``RunConfig()``, as ``filter`` runs by
+    default, writing to a temporary directory that is then deleted. The
+    sides run in A/B/B/A groups (see ``_interleaved``) until the slower
+    side has run for ``BENCH_MIN_S`` seconds, so both run equally often,
+    at least twice. A side reports the median and stddev of its run times
+    and, with a corpus, the docs/s at that median. Speedup is the larger
+    model's median over the smaller's, by parameter count. A config with
+    fewer than ``BENCH_SEQ_LEN`` positions raises ``ValueError``, and a
+    corpus that cannot be read its ``OSError``, before any weights exist.
     """
-    if n_runs < 10:
-        raise ValueError("n_runs must be >= 10")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    if seq_len > min(config_a.max_positions, config_b.max_positions):
-        raise ValueError(f"seq_len {seq_len} exceeds a config's max_positions")
-
-    def timer(config: EncoderConfig, seed: int) -> Callable[[], float]:
-        ids = np.random.default_rng(seed + 1).integers(
-            0, config.vocab_size, size=seq_len).tolist()
-        seq = TokenizedSequence(ids=ids, attention_mask=[1] * len(ids), word_spans=[],
-                                pieces=[], words=[])
-        weights = init_random(config, seed)
-
-        def run() -> float:
-            t0 = time.perf_counter()
-            packed_logits([seq], weights, config)
-            return (time.perf_counter() - t0) * 1000.0
-        return run
-
-    seed_medians = []
-    for seed in range(n_seeds):
-        timers = (timer(config_a, seed), timer(config_b, seed))
-        for warm_up in timers * BENCH_WARMUP_RUNS:
-            warm_up()
-        times = _interleaved(timers, lambda a, b: len(a) >= n_runs)
-        seed_medians.append([statistics.median(side) for side in times])
-    sides = list(zip(*seed_medians))
-    return _compare((config_a, config_b), [statistics.mean(side) for side in sides],
-                    [statistics.pstdev(side) for side in sides], n_seeds)
-
-
-def bench_throughput(corpus_path: str | Path, config_a: EncoderConfig,
-                     config_b: EncoderConfig,
-                     batch_size: int = 32) -> tuple[BenchReport, BenchReport, float]:
-    """Time ``run_corpus`` under two architectures with identical settings.
-
-    Both models are built first. The corpus then runs in A/B/B/A groups
-    (see ``_interleaved``) until each side has run for
-    ``BENCH_THROUGHPUT_MIN_S`` seconds, so each side runs at least twice.
-    Weights are ``init_random(config, 0)``: the timed work depends on
-    token ids and shapes, not on weight values, and decision files go to
-    a temporary directory that is deleted. A side reports its median
-    wall time (``mean_latency_ms``), the stddev over its runs and the
-    docs/s at that median. Speedup is larger-model median over
-    smaller-model median.
-    """
-    if not Path(corpus_path).exists():
-        raise FileNotFoundError(f"corpus not found: {corpus_path}")
-    run_config = RunConfig(batch_size=batch_size)
-    summaries: list[CorpusSummary] = []
+    if min(config_a.max_positions, config_b.max_positions) < BENCH_SEQ_LEN:
+        raise ValueError(f"bench needs max_positions >= {BENCH_SEQ_LEN} in both configs")
+    refuse_overwrite(corpus_path, None)
+    configs = (config_a, config_b)
+    docs: list[int] = []
 
     def timer(config: EncoderConfig, out_path: Path) -> Callable[[], float]:
         model = LoadedModel(config, init_random(config, 0), build_ascii_vocab(config.vocab_size))
+        ids = [i % config.vocab_size for i in range(BENCH_SEQ_LEN)]
+        seq = TokenizedSequence(ids=ids, attention_mask=[1] * len(ids), word_spans=[],
+                                pieces=[], words=[])
 
         def run() -> float:
-            summaries.append(run_corpus(corpus_path, out_path, model, run_config))
-            return summaries[-1].wall_ms
+            t0 = time.perf_counter()
+            if corpus_path is None:
+                packed_logits([seq], model.weights, config)
+            else:
+                docs.append(run_corpus(corpus_path, out_path, model, RunConfig()).processed)
+            return (time.perf_counter() - t0) * 1000.0
         return run
 
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "decisions.tsv"
-        walls = _interleaved((timer(config_a, out_path), timer(config_b, out_path)),
-                             lambda a, b: min(sum(a), sum(b)) >= BENCH_THROUGHPUT_MIN_S * 1000.0)
-    return _compare((config_a, config_b), [statistics.median(side) for side in walls],
-                    [statistics.pstdev(side) for side in walls], 1, docs=summaries[-1].processed)
+        times = _interleaved(tuple(timer(config, out_path) for config in configs),
+                             lambda a, b: max(sum(a), sum(b)) >= BENCH_MIN_S * 1000.0)
+    medians = [statistics.median(side) for side in times]
+    report_a, report_b = (
+        BenchReport(config.architecture, median, statistics.pstdev(side), len(side),
+                    None if corpus_path is None else docs[-1] * 1000.0 / median)
+        for config, median, side in zip(configs, medians, times))
+    small, large = sorted((0, 1), key=lambda side: count_parameters(configs[side]))
+    return report_a, report_b, medians[large] / medians[small]

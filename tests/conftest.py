@@ -47,6 +47,12 @@ def tiny_model(tiny_config, ascii_vocab):
                        vocab=ascii_vocab)
 
 
+@pytest.fixture
+def short_bench(monkeypatch):
+    """A 0.2 s minimum per bench comparison, so bench tests stay quick."""
+    monkeypatch.setattr(pipeline, "BENCH_MIN_S", 0.2)
+
+
 def random_words(rng: np.random.Generator, n_words: int) -> str:
     """Random lowercase sentence; tokenizes piece-per-character under the
     ASCII vocabulary."""

@@ -519,45 +519,62 @@ class TestSample:
         assert len(captured.out.splitlines()) == 2
 
 
+@pytest.mark.usefixtures("short_bench")
 class TestBench:
     def test_latency_self_comparison(self, capsys):
-        code = main(["bench", "--mode", "latency", "--config", TINY_SPEC,
-                     "--config-b", TINY_SPEC, "--runs", "10", "--seeds", "1",
-                     "--seq-len", "8"])
+        code = main(["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC])
         captured = capsys.readouterr()
         assert code == 0
         speedup = float([l for l in captured.out.splitlines()
                          if l.startswith("speedup=")][0].split("=")[1])
-        assert 0.5 <= speedup <= 2.0  # loose: single-seed smoke run
+        assert 0.5 <= speedup <= 2.0  # loose: a 0.2 s smoke run
 
-    def test_latency_report_keys(self, capsys):
-        code = main(["bench", "--mode", "latency", "--config", TINY_SPEC,
-                     "--config-b", TINY_SPEC, "--runs", "10", "--seeds", "1",
-                     "--seq-len", "8"])
+    @staticmethod
+    def report(capsys, *flags):
+        """The lines ``bench`` prints for two 2x2x8x16 configs, and each one's key."""
+        code = main(["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC, *flags])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        side = ["model", "architecture", "mean_latency_ms", "stddev_ms", "seeds"]
-        assert [line.split("=")[0] for line in lines] == side + side + ["speedup"]
+        return lines, [line.split("=")[0] for line in lines]
+
+    def test_latency_report_keys(self, capsys):
+        lines, keys = self.report(capsys)
+        side = ["model", "architecture", "median_ms", "stddev_ms", "runs"]
+        assert keys == side + side + ["speedup"]
         assert lines[0] == lines[5] == "model=2x2x8x16"
         assert lines[1] == lines[6] == "architecture=2,2,8,16"
+
+    def test_throughput_report_keys(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("d1\tone day.\nd2\ttwo days.\n", encoding="utf-8")
+        _, keys = self.report(capsys, "--corpus", str(corpus))
+        side = ["model", "architecture", "median_ms", "stddev_ms", "runs", "docs_per_s"]
+        assert keys == side + side + ["speedup"]
 
     @pytest.mark.parametrize("side", ["--config", "--config-b"])
     def test_seq_len_beyond_either_configs_positions_is_a_usage_error(self, side, monkeypatch,
                                                                      capsys):
-        # TINY_SPEC holds 64 positions; the other side holds 512.
-        monkeypatch.setattr(pipeline, "bench_latency", None)
+        # The bench sentence has 32 tokens; this side holds 31 positions.
+        calls = []
+        monkeypatch.setattr(pipeline, "bench", lambda *args: calls.append(args))
         other = "--config-b" if side == "--config" else "--config"
-        code, captured = run_cli(["bench", side, TINY_SPEC, other, "2,2,8,16,256,512",
-                                  "--seq-len", "65"], capsys=capsys)
+        code, captured = run_cli(["bench", side, "2,2,8,16,256,31", other, TINY_SPEC],
+                                 capsys=capsys)
         assert code == 2
+        assert calls == []
         assert captured.out == ""
-        assert "--seq-len 65 exceeds max_positions 64" in captured.err
+        assert "bench needs max_positions >= 32, got 31" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_throughput_requires_corpus(self, capsys):
-        code = main(["bench", "--mode", "throughput", "--config", TINY_SPEC,
-                     "--config-b", TINY_SPEC])
-        assert code == 2
+    @pytest.mark.parametrize("flag, value", [("--mode", "latency"), ("--runs", "100"),
+                                             ("--seeds", "5"), ("--seq-len", "32"),
+                                             ("--batch-size", "32")])
+    def test_deleted_flags_are_usage_errors(self, flag, value, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "bench", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 FILTER_FILES = ["--input", "in.tsv", "--output", "out.tsv"]
@@ -573,10 +590,6 @@ class TestOutOfRangeFlags:
         (["sample", "--mine"], "--limit", "-1"),
         (["rescore", "--input", "beam.tsv"], "--lambda", "-1"),
         (["rescore", "--input", "beam.tsv"], "--lambda", "inf"),
-        (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--seeds", "0"),
-        (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--seq-len", "0"),
-        (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--batch-size", "0"),
-        (["bench", "--config", TINY_SPEC, "--config-b", TINY_SPEC], "--runs", "5"),
         (["sample", "--lexicon", "lexicon.txt"], "--target-size", "1"),
         (["init-random", "--config", TINY_SPEC, "--output", "x.hap"], "--seed", "-1"),
     ], ids=lambda arg: arg[0] if isinstance(arg, list) else arg)
@@ -598,16 +611,14 @@ class TestOutOfRangeFlags:
     @pytest.mark.parametrize("command", [
         ["init-random", "--output", "x.hap", "--config"],
         ["bench", "--config-b", TINY_SPEC, "--config"],
-        ["bench", "--mode", "throughput", "--corpus", "in.tsv", "--config-b", TINY_SPEC,
-         "--config"],
+        ["bench", "--corpus", "in.tsv", "--config-b", TINY_SPEC, "--config"],
     ], ids=["init-random", "latency", "throughput"])
     def test_config_vocab_below_the_special_tokens(self, command, tmp_path, monkeypatch,
                                                    capsys):
         # No vocabulary holds fewer than [PAD], [UNK], [CLS] and [SEP], so
         # such a --config is a usage error before anything runs or is written.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(pipeline, "bench_latency", None)
-        monkeypatch.setattr(pipeline, "bench_throughput", None)
+        monkeypatch.setattr(pipeline, "bench", None)
         code, captured = run_cli([*command, "1,1,4,4,3,2"], capsys=capsys)
         assert code == 2
         assert captured.out == "" and list(tmp_path.iterdir()) == []

@@ -27,8 +27,7 @@ from hapstack.model_io import LoadedModel
 from hapstack.pipeline import (
     Document,
     HapScore,
-    bench_latency,
-    bench_throughput,
+    bench,
     decide_from_scores,
     escape_text,
     filter_document,
@@ -818,75 +817,85 @@ class TestInterleaved:
         assert times == ([1.0, 4.0, 5.0, 8.0], [2.0, 3.0, 6.0, 7.0])
 
 
+@pytest.mark.usefixtures("short_bench")
 class TestBenchLatency:
-    def test_odd_run_count_rounded_up(self, tiny_config):
-        larger = EncoderConfig(num_layers=2, num_heads=2, hidden_size=16,
-                               intermediate_size=32, vocab_size=64, max_positions=32)
-        configs = []
-        packed_logits = pipeline.packed_logits
+    """``bench`` without a corpus: one sentence's forward per run."""
 
-        def counting(seqs, weights, config):
-            configs.append(config)
-            return packed_logits(seqs, weights, config)
+    def test_stops_after_the_group_that_brings_the_slower_side_to_the_minimum(
+            self, tiny_config, monkeypatch):
+        larger = dataclasses.replace(tiny_config, num_layers=3)
+        cost_s = {tiny_config: 0.01, larger: 0.03}
+        now = [0.0]
 
-        with mock.patch.object(pipeline, "packed_logits", counting):
-            bench_latency(tiny_config, larger, n_runs=11, n_seeds=1, seq_len=8)
-        assert configs.count(tiny_config) == configs.count(larger) == 3 + 12
+        def forward(seqs, weights, config):
+            assert [len(seq.ids) for seq in seqs] == [pipeline.BENCH_SEQ_LEN]
+            now[0] += cost_s[config]
+
+        monkeypatch.setattr(pipeline, "packed_logits", forward)
+        monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        # The slower side runs 0.06 s per A/B/B/A group: 0.18 s after three
+        # groups, 0.24 s after four.
+        for configs in ((tiny_config, larger), (larger, tiny_config)):
+            report_a, report_b, speedup = bench(*configs)
+            assert report_a.runs == report_b.runs == 8
+            assert [report_a.median_ms, report_b.median_ms] == pytest.approx(
+                [cost_s[config] * 1000.0 for config in configs])
+            assert speedup == pytest.approx(3.0)
 
     def test_self_comparison_band(self, tiny_config):
-        _, _, speedup = bench_latency(tiny_config, tiny_config, n_runs=30,
-                                      n_seeds=2, seq_len=8)
+        _, _, speedup = bench(tiny_config, tiny_config)
         assert 0.8 <= speedup <= 1.25
 
     def test_reports_have_stats(self, tiny_config):
-        report_a, report_b, _ = bench_latency(tiny_config, tiny_config, n_runs=10,
-                                              n_seeds=2, seq_len=8)
+        report_a, report_b, _ = bench(tiny_config, tiny_config)
+        assert report_a.runs == report_b.runs >= 2
         for report in (report_a, report_b):
-            assert report.mean_latency_ms > 0
+            assert report.median_ms > 0
             assert report.stddev_ms >= 0
-            assert report.seeds == 2
+            assert report.docs_per_s is None
             assert report.architecture == tiny_config.architecture
 
-    def test_run_count_validated(self, tiny_config):
-        with pytest.raises(ValueError):
-            bench_latency(tiny_config, tiny_config, n_runs=5, n_seeds=1)
-
     def test_seq_len_beyond_a_configs_positions_refused(self, tiny_config):
-        shorter = dataclasses.replace(tiny_config, max_positions=32)
-        with pytest.raises(ValueError, match="max_positions"):
-            bench_latency(tiny_config, shorter, n_runs=10, n_seeds=1, seq_len=33)
+        shorter = dataclasses.replace(tiny_config, max_positions=pipeline.BENCH_SEQ_LEN - 1)
+        for configs in ((tiny_config, shorter), (shorter, tiny_config)):
+            with pytest.raises(ValueError, match="max_positions"):
+                bench(*configs)
 
     def test_bigger_model_is_slower(self):
         small = EncoderConfig(num_layers=1, num_heads=2, hidden_size=32,
                               intermediate_size=64, vocab_size=64, max_positions=32)
         large = EncoderConfig(num_layers=8, num_heads=2, hidden_size=128,
                               intermediate_size=512, vocab_size=64, max_positions=32)
-        _, _, speedup = bench_latency(small, large, n_runs=20, n_seeds=2, seq_len=16)
+        _, _, speedup = bench(small, large)
         assert speedup > 1.0
 
 
+@pytest.mark.usefixtures("short_bench")
 class TestBenchThroughput:
+    """``bench`` with a corpus: one default ``run_corpus`` per run."""
+
     def test_self_comparison_band(self, tiny_config, tmp_path):
+        # 20 documents, so each side runs 6-8 times in 0.2 s. With 100 each
+        # side ran twice, and a median of two runs spread past the band.
         rng = np.random.default_rng(31)
         docs = [(f"d{i}", ". ".join(random_words(rng, 5) for _ in range(12)) + ".")
-                for i in range(100)]
+                for i in range(20)]
         corpus = tmp_path / "corpus.tsv"
         write_corpus(corpus, docs)
-        # one untimed pass so numpy/BLAS warmup doesn't skew side a
-        bench_throughput(corpus, tiny_config, tiny_config)
-        report_a, report_b, speedup = bench_throughput(corpus, tiny_config, tiny_config)
+        report_a, report_b, speedup = bench(tiny_config, tiny_config, corpus)
         assert 0.8 <= speedup <= 1.25
-        assert report_a.throughput_docs_per_s is not None
-        assert report_b.throughput_docs_per_s is not None
+        assert report_a.runs == report_b.runs >= 2
+        for report in (report_a, report_b):
+            assert report.docs_per_s == pytest.approx(len(docs) * 1000.0 / report.median_ms)
 
     def test_missing_corpus(self, tiny_config, tmp_path):
         with pytest.raises(FileNotFoundError):
-            bench_throughput(tmp_path / "nope.tsv", tiny_config, tiny_config)
+            bench(tiny_config, tiny_config, tmp_path / "nope.tsv")
 
     def test_writes_nothing_next_to_the_corpus(self, tiny_config, tmp_path):
         corpus_dir = tmp_path / "corpus"
         corpus_dir.mkdir()
         corpus = corpus_dir / "corpus.tsv"
         write_corpus(corpus, [("d1", "a day."), ("d2", "b day.")])
-        bench_throughput(corpus, tiny_config, tiny_config)
+        bench(tiny_config, tiny_config, corpus)
         assert list(corpus_dir.iterdir()) == [corpus]
